@@ -7,6 +7,7 @@ q-positive-type criterion and the constructive Bochner pipeline.
 from .errors import (
     LatticeMismatchError,
     PoleProximityError,
+    PrecisionLossError,
     QHarmError,
     TruncationCapError,
 )

@@ -22,13 +22,23 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .qlattice import QParams, hahn_exton_jv_detail
+from .errors import PrecisionLossError
+from .qlattice import (
+    DEFAULT_MAX_TERMS,
+    DEFAULT_TRUNC_TOL,
+    QParams,
+    hahn_exton_jv_detail,
+)
 
 # extra recurrence steps below the lowest requested exponent; contamination
 # decays superexponentially with this margin
 _SEED_MARGIN = 16
 
 _MIN_EXP = -1020  # below this base-2 scale a double underflows anyway
+
+# relative error a series value may carry when no lattice fallback applies;
+# the oracle pins hold cancelling arguments to the same tolerance
+_MAX_SERIES_LOSS = 1e-9
 
 
 def _scaled(x: float, e: int) -> Tuple[float, int]:
@@ -120,31 +130,36 @@ def hahn_exton_jv_stable(
     z: float,
     q_base: float,
     v: float,
-    trunc_tol: float = None,
-    max_terms: int = None,
+    trunc_tol: float = DEFAULT_TRUNC_TOL,
+    max_terms: int = DEFAULT_MAX_TERMS,
 ) -> float:
     """Series evaluation with a recurrence fallback for cancelling arguments.
 
     When the alternating series loses precision and z sits on the lattice
     z = q^m (q = sqrt(q_base), integer m < 0), the value is taken from the
     recurrence-based table instead, which is accurate to machine precision
-    there.  Off-lattice cancelling arguments fall back to the flagged series
-    value; there is no better double-precision route for those.
+    there.  Any other cancelling argument keeps the flagged series value
+    when its estimated relative error eps * max_term / |value| stays within
+    1e-9, and raises PrecisionLossError otherwise: there is no better
+    double-precision route for those.
     """
-    from .qlattice import DEFAULT_MAX_TERMS, DEFAULT_TRUNC_TOL, hahn_exton_jv_detail
-
-    tol = DEFAULT_TRUNC_TOL if trunc_tol is None else trunc_tol
-    cap = DEFAULT_MAX_TERMS if max_terms is None else max_terms
-    detail = hahn_exton_jv_detail(z, q_base, v, tol, cap)
-    if not detail.cancellation or z <= 1.0:
+    detail = hahn_exton_jv_detail(z, q_base, v, trunc_tol, max_terms)
+    if not detail.cancellation:
         return detail.value
-    q = math.sqrt(q_base)
-    m_real = math.log(z) / math.log(q)
-    m = round(m_real)
-    if m >= 0 or abs(m_real - m) > 1e-8:
-        return detail.value
-    params = QParams(q=q, v=v, trunc_tol=tol, max_terms=cap)
-    return float(lattice_jv_table(params, m, 0)[0])
+    if z > 1.0:
+        q = math.sqrt(q_base)
+        m_real = math.log(z) / math.log(q)
+        m = round(m_real)
+        if m < 0 and abs(m_real - m) <= 1e-8:
+            params = QParams(q=q, v=v, trunc_tol=trunc_tol, max_terms=max_terms)
+            return float(lattice_jv_table(params, m, 0)[0])
+    loss = 2.3e-16 * detail.max_term / abs(detail.value) if detail.value else math.inf
+    if loss > _MAX_SERIES_LOSS:
+        raise PrecisionLossError(
+            f"j_v({z}, {q_base}) series loses precision to cancellation: estimated "
+            f"relative error {loss:.1e} exceeds {_MAX_SERIES_LOSS:g}"
+        )
+    return detail.value
 
 
 def bessel_bound_envelope(params: QParams, m: np.ndarray) -> np.ndarray:

@@ -15,3 +15,7 @@ class PoleProximityError(QHarmError):
 
 class LatticeMismatchError(QHarmError):
     """Operands live on different lattice windows."""
+
+
+class PrecisionLossError(QHarmError):
+    """A value lost more digits to cancellation than its tolerance allows."""

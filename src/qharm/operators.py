@@ -6,9 +6,8 @@ verification routes and the window positivity scan.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +41,18 @@ def translation(
     return fourier_transform(weighted, table)
 
 
+def all_translations(
+    f: LatticeFunction, exponents: Sequence[int], table: TransformTable
+) -> np.ndarray:
+    """Columns T_{x_i} f for x_i = q^{exponents[i]}, as one matrix product.
+
+    Column i is F(F f . j_v(x_i .)), the translation route of
+    :func:`translation`, evaluated for every requested point at once.
+    """
+    ff = fourier_transform(f, table)
+    return table.kernel_matrix @ (ff.values[:, None] * table.rows(exponents).T)
+
+
 def translation_kernel(
     x_exponent: int, y_exponent: int, z_exponent: int, table: TransformTable
 ) -> float:
@@ -62,7 +73,7 @@ def translation_via_kernel(
     """Kernel route of the translation: int f(z) D_v(x,y,z) z^{2v+1} d_qz."""
     lat = table.lattice
     params = table.params
-    rows = np.stack([table.jv_row(n) for n in lat.indices])  # rows[i] = j(q^{n_i + k})
+    rows = table.rows(lat.indices)  # rows[i] = j(q^{n_i + k})
     w = table.weights
     x_row = table.jv_row(x_exponent)
     # D(x, y_i, z_j) = c^2 (1-q) sum_k w_k x_row[k] rows[i,k] rows[j,k]
@@ -81,7 +92,8 @@ def convolution(
 
     spectral route: F(F f . F g), using the factorization of the convolution
     theorem together with self-inversion.  direct route: the defining double
-    sum c int T_x f(y) g(y) y^{2v+1} d_qy evaluated per output point.
+    sum c int T_x f(y) g(y) y^{2v+1} d_qy, with the translations of every
+    output point computed as one matrix product.
     """
     f.same_window(g)
     if f.lattice != table.lattice:
@@ -94,11 +106,8 @@ def convolution(
         return fourier_transform(prod, table)
     if route == "direct":
         lat = table.lattice
-        w = table.weights
-        out = np.empty(lat.size, dtype=complex)
-        for i, n in enumerate(lat.indices):
-            tf = translation(f, int(n), table)
-            out[i] = params.c_qv * (1.0 - params.q) * np.sum(w * tf.values * g.values)
+        shifted = all_translations(f, lat.indices, table)
+        out = params.c_qv * (1.0 - params.q) * ((table.weights * g.values) @ shifted)
         if f.is_real and g.is_real:
             out = out.real
         return LatticeFunction(lat, out)
@@ -139,8 +148,12 @@ def young_inequality_check(
     return YoungReport(p=p, p_prime=p_prime, r=r, norm_r=norm_r, finite=bool(np.isfinite(norm_r)))
 
 
-def gauss_kernel(x: float, t: float, params: QParams) -> float:
-    """q-Gauss kernel G^v(x, t, q^2)."""
+def _gauss_kernel_parts(x, t: float, params: QParams):
+    """(G^v(0, t, q^2), G^v(x, t, q^2)) for a float x or an ndarray of points.
+
+    The value at 0 is the product of the four x-independent Pochhammer
+    factors; G^v(x) multiplies it by e(-q^{-2v} x^2 / t, q^2).
+    """
     if t <= 0.0:
         raise ValueError("t must be positive")
     q2 = params.q ** 2
@@ -153,15 +166,21 @@ def gauss_kernel(x: float, t: float, params: QParams) -> float:
     den = q_pochhammer_infinite(-t, q2, tol, cap).real * q_pochhammer_infinite(
         -q2 / t, q2, tol, cap
     ).real
-    return num / den * q_exponential(-qm2v * x * x / t, q2, tol, cap).real
+    at_zero = num / den
+    return at_zero, at_zero * q_exponential(-qm2v * x * x / t, q2, tol, cap).real
+
+
+def gauss_kernel(x: float, t: float, params: QParams) -> float:
+    """q-Gauss kernel G^v(x, t, q^2)."""
+    return _gauss_kernel_parts(x, t, params)[1]
 
 
 def gauss_kernel_function(
     t: float, params: QParams, lattice: QLattice
 ) -> LatticeFunction:
     """G^v(., t, q^2) sampled on a window, with its x -> 0 limit."""
-    vals = np.array([gauss_kernel(float(x), t, params) for x in lattice.points])
-    return LatticeFunction(lattice, vals, value_at_zero=gauss_kernel(0.0, t, params))
+    at_zero, vals = _gauss_kernel_parts(lattice.points, t, params)
+    return LatticeFunction(lattice, vals, value_at_zero=at_zero)
 
 
 @dataclass(frozen=True)
@@ -186,7 +205,7 @@ def gauss_delta_limit_check(
     w = table.weights
     integrals = []
     for a in a_sequence:
-        g = np.array([gauss_kernel(float(x), a * a, params) for x in lat.points])
+        g = gauss_kernel_function(a * a, params, lat).values
         integrals.append(
             params.c_qv * (1.0 - params.q) * complex(np.sum(w * f.values * g))
         )
@@ -228,49 +247,30 @@ def qv_membership_probe(
     params: QParams,
     lattice: QLattice,
     tolerance: float = 1e-10,
-    threads: Optional[int] = None,
 ) -> QvProbeReport:
     """Exhaustive window scan of min D_v(x,y,z).
 
     A finite-window heuristic only: a clean scan reports "no negativity
-    detected", never membership of q in the positivity set.  Deterministic
-    output regardless of thread count (each (x,y) slab is an independent
-    fixed-order reduction).
+    detected", never membership of q in the positivity set.  Each x slab is
+    a fixed-order reduction and the first smallest entry wins, so the
+    output is deterministic.
     """
     from .transform import build_transform_table
 
     integration = _probe_integration_window(params, lattice)
     table = build_transform_table(params, integration)
     k_lo = integration.n_min
-    rows = np.stack([table.jv_row(n) for n in lattice.indices])
+    rows = table.rows(lattice.indices)
     w = table.weights
     scale = params.c_qv ** 2 * (1.0 - params.q)
     n_pts = lattice.size
-
-    def slab(i: int) -> Tuple[float, Tuple[int, int, int]]:
-        x_row = rows[i]
+    min_val, best = float("inf"), (0, 0, 0)
+    for i in range(n_pts):
         # D(x_i, y_j, z_l) over all j, l at once
-        core = scale * ((rows * (w * x_row)) @ rows.T)
+        core = scale * ((rows * (w * rows[i])) @ rows.T)
         flat = int(np.argmin(core))
-        j, l = divmod(flat, n_pts)
-        return float(core[j, l]), (i, j, l)
-
-    if threads is None:
-        env = os.environ.get("QHARM_THREADS", "0")
-        try:
-            threads = int(env)
-        except ValueError:
-            threads = 0
-    results: List[Tuple[float, Tuple[int, int, int]]]
-    if threads == 1 or n_pts < 8:
-        results = [slab(i) for i in range(n_pts)]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        workers = threads if threads > 0 else (os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(slab, range(n_pts)))
-    min_val, best = min(results, key=lambda r: r[0])
+        if core.flat[flat] < min_val:
+            min_val, best = float(core.flat[flat]), (i, *divmod(flat, n_pts))
     offs = lattice.n_min
     witness = None
     verdict = f"no negativity detected at tolerance -{tolerance:g}"

@@ -20,7 +20,7 @@ from .transform import (
     fourier_transform_detail,
     interior_slice,
 )
-from .operators import translation, translation_via_kernel
+from .operators import all_translations
 
 DEFAULT_PSD_TOL = 1e-9
 
@@ -61,7 +61,7 @@ def gram_matrix(
         table.lattice.index_of(n)  # bounds check
     ff = fourier_transform(phi, table)
     params = table.params
-    rows = np.stack([table.jv_row(n) for n in pts])
+    rows = table.rows(pts)
     diag = params.c_qv * (1.0 - params.q) * table.weights * ff.values
     entries = (rows * diag) @ rows.T
     return GramMatrix(point_exponents=pts, entries=entries)
@@ -300,7 +300,7 @@ def measure_fourier_transform(xi: QMeasure, table: TransformTable) -> LatticeFun
     if xi.lattice != table.lattice:
         raise LatticeMismatchError("measure must live on the table lattice")
     q = table.params.q
-    rows = np.stack([table.jv_row(n) for n in table.lattice.indices])
+    rows = table.rows(table.lattice.indices)
     weighted = table.weights * xi.weights
     vals = (1.0 - q) * (rows @ weighted)
     return LatticeFunction(
@@ -322,26 +322,21 @@ def measure_convolution(
     the product of the individual measure transforms.  With ``with_scale``
     the all-absolute version of the double sum is returned alongside: it is
     the magnitude against which double-precision cancellation in the result
-    must be judged.
+    must be judged.  The translations T_u f are computed only at the points
+    u that carry xi mass, as one matrix product.
     """
     if xi.lattice != table.lattice or rho.lattice != table.lattice:
         raise LatticeMismatchError("measures must live on the table lattice")
     q = table.params.q
     w = table.weights
-    total = 0.0 + 0.0j
-    abs_total = 0.0
-    for i, n in enumerate(table.lattice.indices):
-        if xi.weights[i] == 0.0:
-            continue
-        tf = translation(f, int(n), table)
-        inner = (1.0 - q) * np.sum(w * rho.weights * tf.values)
-        total += (1.0 - q) * w[i] * xi.weights[i] * inner
-        if with_scale:
-            abs_inner = (1.0 - q) * float(np.sum(w * rho.weights * np.abs(tf.values)))
-            abs_total += (1.0 - q) * w[i] * xi.weights[i] * abs_inner
+    support = np.flatnonzero(xi.weights != 0.0)
+    shifted = all_translations(f, table.lattice.indices[support], table)
+    outer = (1.0 - q) ** 2 * (w * rho.weights)
+    inner = (w * xi.weights)[support]
+    total = complex(outer @ shifted @ inner)
     if with_scale:
-        return complex(total), abs_total
-    return complex(total)
+        return total, float(outer @ np.abs(shifted) @ inner)
+    return total
 
 
 def measure_product_identity_error(

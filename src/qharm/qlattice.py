@@ -66,9 +66,12 @@ def q_exponential(
 
     The product form continues the series sum z^n/(q;q)_n beyond |z| < 1.
     Points z = q^{-i} are poles; proximity raises PoleProximityError.
+    An ndarray `z` is evaluated elementwise by :func:`_q_exponential_array`.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0,1), got {q}")
+    if isinstance(z, np.ndarray):
+        return _q_exponential_array(z, q, trunc_tol, max_terms)
     denom: Complex = 1.0
     mag = abs(z)
     for i in range(max_terms):
@@ -79,6 +82,53 @@ def q_exponential(
             raise PoleProximityError(f"z={z} is within tolerance of the pole q^-{i}")
         denom *= factor
         mag *= q
+    raise TruncationCapError(
+        f"e(z,q) product did not reach tolerance {trunc_tol} within {max_terms} factors"
+    )
+
+
+def _q_exponential_array(
+    z: np.ndarray, q: float, trunc_tol: float, max_terms: int
+) -> np.ndarray:
+    """The scalar product loop of :func:`q_exponential`, run for all points
+    at once: one pass over the factor index, vectorised across the points.
+
+    Each point keeps its own running magnitude, truncation test and pole
+    check, so its product is the same sequence of float operations as the
+    scalar loop.  Points are visited in order of decreasing |z|: a point
+    needs more factors the larger |z| is, so the points still multiplying
+    always form a prefix of that order and each step works on views.
+    """
+    flat = z.ravel()
+    order = np.argsort(-np.abs(flat), kind="stable")
+    zs = flat[order].astype(np.result_type(flat.dtype, float), copy=False)
+    mags = np.abs(zs)
+    denom = np.ones_like(zs)
+    # for real z <= 0 every factor is at least max(1, |z| q^i), so the pole
+    # test cannot fire; it is evaluated only when some point can reach a pole
+    pole_possible = np.iscomplexobj(zs) or bool((zs > 0.0).any())
+    active = zs.size
+    # a float denominator overflows to inf (value 0) exactly as the scalar
+    # loop's Python floats do; numpy would only add a warning
+    with np.errstate(over="ignore"):
+        for i in range(max_terms):
+            while active and mags[active - 1] < trunc_tol:
+                active -= 1
+            if not active:
+                out = np.empty_like(denom)
+                out[order] = 1.0 / denom
+                return out.reshape(z.shape)
+            mag = mags[:active]
+            factor = 1.0 - zs[:active] * (q ** i)
+            if pole_possible:
+                near = np.abs(factor) < 1e-12 * (1.0 + mag)
+                if near.any():
+                    bad = zs[int(np.argmax(near))]
+                    raise PoleProximityError(
+                        f"z={bad} is within tolerance of the pole q^-{i}"
+                    )
+            denom[:active] *= factor
+            mag *= q
     raise TruncationCapError(
         f"e(z,q) product did not reach tolerance {trunc_tol} within {max_terms} factors"
     )

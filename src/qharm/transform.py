@@ -31,7 +31,6 @@ class TransformTable:
     params: QParams
     lattice: QLattice
     bessel_values: np.ndarray = field(repr=False)
-    boundedness_constant: float
 
     def jv_at(self, m: int) -> float:
         """j_v(q^m, q^2) for an exponent sum m."""
@@ -45,20 +44,30 @@ class TransformTable:
         i = n - self.lattice.n_min
         return self.bessel_values[i : i + self.lattice.size]
 
+    def rows(self, exponents) -> np.ndarray:
+        """Hankel gather: rows(ns)[r] = jv_row(ns[r]), one fancy index."""
+        offsets = np.asarray(exponents, dtype=int) - self.lattice.n_min
+        if offsets.size and (offsets.min() < 0 or offsets.max() >= self.lattice.size):
+            raise IndexError("row exponent outside the window")
+        return self.bessel_values[offsets[:, None] + np.arange(self.lattice.size)]
+
     @property
     def weights(self) -> np.ndarray:
         """Jackson-plus-measure weights q^{n(2v+2)} over the window."""
-        expo = (2.0 * self.params.v + 2.0) * self.lattice.indices.astype(float)
-        return self.params.q ** expo
+        cached = self.__dict__.get("_weights")
+        if cached is None:
+            expo = (2.0 * self.params.v + 2.0) * self.lattice.indices.astype(float)
+            cached = self.params.q ** expo
+            cached.flags.writeable = False  # shared by every caller
+            object.__setattr__(self, "_weights", cached)
+        return cached
 
     @property
     def kernel_matrix(self) -> np.ndarray:
         """Dense transform matrix M[k,n] = c (1-q) q^{n(2v+2)} j_v(q^{k+n})."""
         cached = self.__dict__.get("_kernel_matrix")
         if cached is None:
-            size = self.lattice.size
-            idx = np.arange(size)
-            hankel = self.bessel_values[idx[:, None] + idx[None, :]]
+            hankel = self.rows(self.lattice.indices)
             scale = self.params.c_qv * (1.0 - self.params.q)
             cached = scale * hankel * self.weights[None, :]
             object.__setattr__(self, "_kernel_matrix", cached)
@@ -86,12 +95,7 @@ def build_transform_table(params: QParams, lattice: QLattice) -> TransformTable:
             f"tabulated j_v(q^{worst}) violates the decay bound: "
             f"{values[bad][0]} vs {envelope[bad][0]}"
         )
-    return TransformTable(
-        params=params,
-        lattice=lattice,
-        bessel_values=values,
-        boundedness_constant=float(params.bessel_bound_constant),
-    )
+    return TransformTable(params=params, lattice=lattice, bessel_values=values)
 
 
 class TransformResult(NamedTuple):

@@ -121,12 +121,8 @@ def _gaussian_density(table: TransformTable, width_exp: int = 0) -> LatticeFunct
     params = table.params
     q2 = params.q ** 2
     t = params.q ** (2 * width_exp)
-    vals = np.array(
-        [
-            q_exponential(-t * x * x, q2, params.trunc_tol, params.max_terms).real
-            for x in table.lattice.points
-        ]
-    )
+    x = table.lattice.points
+    vals = q_exponential(-t * x * x, q2, params.trunc_tol, params.max_terms).real
     return LatticeFunction(table.lattice, vals, value_at_zero=1.0)
 
 

@@ -334,7 +334,7 @@ def test_criterion_10_positivity_probe():
     params = QParams(q=0.5, v=0.0)
     window = QLattice(0.5, -8, 12)
     rep1 = qv_membership_probe(params, window)
-    rep2 = qv_membership_probe(params, window, threads=3)
+    rep2 = qv_membership_probe(params, window)
     bytes1 = report_to_json(rep1)
     bytes2 = report_to_json(rep2)
     ok = rep1.min_value >= -1e-10 and rep1.witness is None and bytes1 == bytes2

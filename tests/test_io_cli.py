@@ -112,6 +112,18 @@ class TestCLIEval:
         assert main(["eval", "jv", "--z", "0", "--qbase", "0.25", "--v", "0"]) == 0
         assert capsys.readouterr().out.strip() == "1"
 
+    @pytest.mark.parametrize("qbase", ["0.98", "0.9604"])
+    def test_jv_refuses_cancelled_series(self, qbase, capsys):
+        assert main(["eval", "jv", "--z", "1.0", "--qbase", qbase]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "loses precision" in captured.err
+
+    def test_jv_accurate_series_still_printed(self, capsys):
+        # mpmath: j_0(1, 0.81) = -0.2301898345013299...
+        assert main(["eval", "jv", "--z", "1.0", "--q", "0.9"]) == 0
+        assert capsys.readouterr().out == "-0.230189834501241\n"
+
     def test_finite_pochhammer(self, capsys):
         assert main(["eval", "pochhammer", "--a", "0.5", "--q", "0.5", "--n", "1"]) == 0
         assert float(capsys.readouterr().out) == 0.5

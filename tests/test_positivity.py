@@ -15,6 +15,7 @@ from qharm import (
     measure_fourier_transform,
     measure_product_identity_error,
     product_positive_type_check,
+    translation,
     verify_l1_spectrum_mass,
     verify_nonneg_spectrum,
     verify_quadratic_form_positivity,
@@ -131,6 +132,24 @@ class TestMeasures:
         xi = QMeasure(regime_table.lattice, _random_measure_weights(regime_table.lattice, rng))
         rho = QMeasure(regime_table.lattice, _random_measure_weights(regime_table.lattice, rng))
         assert measure_product_identity_error(xi, rho, regime_table) < 1e-8
+
+    def test_convolution_matches_translation_loop(self, regime_table, rng):
+        table = regime_table
+        lat, q, w = table.lattice, table.params.q, table.weights
+        xi = QMeasure(lat, _random_measure_weights(lat, rng))
+        rho = QMeasure(lat, _random_measure_weights(lat, rng))
+        f = LatticeFunction(lat, table.jv_row(2).copy())
+        total, abs_total = 0.0, 0.0
+        for i, n in enumerate(lat.indices):
+            if xi.weights[i] == 0.0:
+                continue
+            tf = translation(f, int(n), table).values
+            outer = (1.0 - q) ** 2 * w[i] * xi.weights[i]
+            total += outer * np.sum(w * rho.weights * tf)
+            abs_total += outer * np.sum(w * rho.weights * np.abs(tf))
+        val, scale = measure_convolution(xi, rho, f, table, with_scale=True)
+        assert abs(val - total) <= 1e-13 * abs(total)
+        assert scale == pytest.approx(abs_total, rel=1e-13)
 
     def test_convolution_scale_output(self, table05, rng):
         xi = QMeasure(table05.lattice, _random_measure_weights(table05.lattice, rng))

@@ -10,6 +10,7 @@ from qharm import (
     PoleProximityError,
     QLattice,
     QParams,
+    TruncationCapError,
     hahn_exton_jv,
     hahn_exton_jv_detail,
     jackson_integral,
@@ -82,6 +83,40 @@ class TestQExponential:
     def test_negative_argument_positive_value(self):
         val = q_exponential(-3.0, 0.25)
         assert 0.0 < val.real < 1.0
+
+    @pytest.mark.parametrize("q, v, n_min, n_max", [(0.5, 0.0, -20, 60), (0.9, 1.5, -30, 160)])
+    def test_array_matches_scalar_bitwise(self, q, v, n_min, n_max):
+        # the Gauss kernel arguments -q^{-2v} x^2 / t on a README window
+        x = QLattice(q, n_min, n_max).points
+        for j in range(0, 21, 4):
+            z = -(q ** (-2.0 * v)) * x * x / q ** j
+            loop = np.array([q_exponential(float(s), q * q) for s in z])
+            assert np.array_equal(q_exponential(z, q * q), loop)
+
+    @pytest.mark.parametrize(
+        "zs, cap",
+        [
+            ([-1.0, 0.5, 2.0], 10000),  # 2 = q^-1 is a pole
+            ([0.25, 1.0 + 1e-14], 10000),  # within tolerance of the pole at 1
+            ([1e-19, -50.0], 5),  # -50 needs more than 5 factors
+            ([-1.0, 0.5, 3.0, 1e-19], 10000),
+            ([0.1j, -3.0 + 1e-3j, 2.0 + 1e-3j], 10000),
+        ],
+    )
+    def test_array_raises_where_scalar_raises(self, zs, cap):
+        def outcome(fn):
+            try:
+                return fn()
+            except (PoleProximityError, TruncationCapError) as exc:
+                return type(exc)
+
+        scalar = [outcome(lambda: q_exponential(z, 0.5, max_terms=cap)) for z in zs]
+        errors = {s for s in scalar if isinstance(s, type)}
+        got = outcome(lambda: q_exponential(np.array(zs), 0.5, max_terms=cap))
+        if errors:
+            assert got in errors
+        else:
+            np.testing.assert_allclose(got, scalar, rtol=1e-15, atol=0.0)
 
 
 class TestHahnExtonJv:

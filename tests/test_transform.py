@@ -37,6 +37,13 @@ class TestTableConstruction:
         # is the table value at the window bottom
         assert row[0] == table05.jv_at(lat.n_min)
 
+    def test_rows_gathers_jv_rows(self, table05):
+        ns = [-3, 0, 7]
+        expect = np.stack([table05.jv_row(n) for n in ns])
+        np.testing.assert_array_equal(table05.rows(ns), expect)
+        with pytest.raises(IndexError):
+            table05.rows([table05.lattice.n_max + 1])
+
     def test_jv_at_out_of_range(self, table05):
         with pytest.raises(IndexError):
             table05.jv_at(1000)
