@@ -11,14 +11,14 @@ recurrence in the argument exponent,
 run upward from tiny seeds well below the window (Miller's algorithm: the
 desired solution is minimal in the downward direction, so contamination from
 the dominant solution dies off as the recurrence climbs) and normalized
-against series values at the top.  Chain entries are kept as
-(mantissa, base-2 exponent) pairs because the dynamic range of j along the
-chain exceeds what a double can hold.
+against series values at the top.  The dynamic range of j along the chain
+exceeds what a double can hold, so the chain is kept as two lists of plain
+floats and ints, a frexp mantissa and a base-2 exponent per entry, and each
+step renormalizes its new entry.
 """
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
 
 import numpy as np
 
@@ -39,43 +39,6 @@ _MIN_EXP = -1020  # below this base-2 scale a double underflows anyway
 # relative error a series value may carry when no lattice fallback applies;
 # the oracle pins hold cancelling arguments to the same tolerance
 _MAX_SERIES_LOSS = 1e-9
-
-
-def _scaled(x: float, e: int) -> Tuple[float, int]:
-    if x == 0.0:
-        return 0.0, 0
-    m, ex = math.frexp(x)
-    return m, ex + e
-
-
-def _add_scaled(a: Tuple[float, int], b: Tuple[float, int]) -> Tuple[float, int]:
-    (ma, ea), (mb, eb) = a, b
-    if ma == 0.0:
-        return b
-    if mb == 0.0:
-        return a
-    if ea < eb:
-        (ma, ea), (mb, eb) = (mb, eb), (ma, ea)
-    shift = eb - ea
-    if shift < -100:
-        return ma, ea
-    return _scaled(ma + math.ldexp(mb, shift), ea)
-
-
-def _mul_scaled(a: Tuple[float, int], x: float) -> Tuple[float, int]:
-    ma, ea = a
-    if ma == 0.0 or x == 0.0:
-        return 0.0, 0
-    return _scaled(ma * x, ea)
-
-
-def _to_float(a: Tuple[float, int]) -> float:
-    m, e = a
-    if m == 0.0 or e < _MIN_EXP:
-        return 0.0
-    if e > 1024:
-        raise OverflowError("scaled chain value exceeds double range")
-    return math.ldexp(m, e)
 
 
 def lattice_jv_table(params: QParams, m_lo: int, m_hi: int) -> np.ndarray:
@@ -104,25 +67,26 @@ def lattice_jv_table(params: QParams, m_lo: int, m_hi: int) -> np.ndarray:
         # normalize where the series value is largest in magnitude, to dodge
         # accidental proximity to a zero of j
         m_ref = max(range(0, 4), key=lambda m: abs(series[m]))
-        chain: List[Tuple[float, int]] = [(0.0, 0), (1.0, _MIN_EXP)]
-        # chain[i] holds j at exponent start + i (up to one global scale)
-        m = start
-        while m + 2 <= m_ref:
+        # j at exponent start + i is mant[i] * 2**expo[i] (up to one global
+        # scale); every step renormalizes, since one step can grow by q^{2m}
+        mant, expo = [0.0, 1.0], [0, _MIN_EXP]
+        for m in range(start, m_ref - 1):
             a = 1.0 + p2v - q ** (2 * m + 2)
-            nxt = _add_scaled(
-                _mul_scaled(chain[-1], a), _mul_scaled(chain[-2], -1.0)
-            )
-            nxt = _mul_scaled(nxt, 1.0 / p2v)
-            chain.append(nxt)
-            m += 1
-        ref_val = chain[m_ref - start]
-        if ref_val[0] == 0.0:
+            prev = math.ldexp(mant[-2], expo[-2] - expo[-1])
+            mt, e = math.frexp((mant[-1] * a - prev) * (1.0 / p2v))
+            mant.append(mt)
+            expo.append(expo[-1] + e)
+        ref = m_ref - start
+        if mant[ref] == 0.0:
             raise ZeroDivisionError("Miller chain lost the reference value")
-        scale = (series[m_ref] / ref_val[0], -ref_val[1])
-        for m in range(m_lo, min(0, m_hi + 1)):
-            entry = chain[m - start]
-            scaled_entry = (entry[0] * scale[0], entry[1] + scale[1])
-            out[m - m_lo] = _to_float(_scaled(*scaled_entry))
+        kept = slice(m_lo - start, min(0, m_hi + 1) - start)
+        mt, e = np.frexp(np.array(mant[kept]) * (series[m_ref] / mant[ref]))
+        e += np.array(expo[kept]) - expo[ref]
+        if np.any((e > 1024) & (mt != 0.0)):
+            raise OverflowError("scaled chain value exceeds double range")
+        out[: kept.stop - kept.start] = np.where(
+            e < _MIN_EXP, 0.0, np.ldexp(mt, np.maximum(e, _MIN_EXP))
+        )
     return out
 
 

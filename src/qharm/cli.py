@@ -35,11 +35,11 @@ from .transform import build_transform_table, fourier_transform
 from .verify import run_suite
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, nmin: int = -20, nmax: int = 60) -> None:
     p.add_argument("--q", type=float, default=0.5, help="base, 0 < q < 1")
     p.add_argument("--v", type=float, default=0.0, help="order parameter v > -1")
-    p.add_argument("--nmin", type=int, default=-20, help="lowest lattice exponent")
-    p.add_argument("--nmax", type=int, default=60, help="highest lattice exponent")
+    p.add_argument("--nmin", type=int, default=nmin, help="lowest lattice exponent")
+    p.add_argument("--nmax", type=int, default=nmax, help="highest lattice exponent")
     p.add_argument("--tol", type=float, default=None, help="tolerance override")
     p.add_argument("--output", type=str, default=None, help="output file path")
 
@@ -76,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_cv)
 
     p_probe = sub.add_parser("probe-qv", help="window scan of the translation kernel sign")
-    _add_common(p_probe)
+    # the probe default window is deliberately small; the kernel scan is cubic
+    _add_common(p_probe, nmin=-8, nmax=12)
 
     p_pos = sub.add_parser("positivity", help="PSD test of the translation Gram matrix")
     p_pos.add_argument("input", help="lattice function CSV")
@@ -179,12 +180,8 @@ def _cmd_convolve(args: argparse.Namespace) -> int:
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:
-    params = _params(args)
-    # the probe default window is deliberately small; the kernel scan is cubic
-    nmin = args.nmin if args.nmin != -20 else -8
-    nmax = args.nmax if args.nmax != 60 else 12
     tol = args.tol if args.tol is not None else 1e-10
-    report = qv_membership_probe(params, QLattice(args.q, nmin, nmax), tolerance=tol)
+    report = qv_membership_probe(_params(args), _lattice(args), tolerance=tol)
     payload = {
         "min_value": report.min_value,
         "witness": list(report.witness) if report.witness else None,

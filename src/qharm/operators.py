@@ -6,6 +6,7 @@ verification routes and the window positivity scan.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -67,19 +68,24 @@ def translation_kernel(
     return params.c_qv ** 2 * (1.0 - params.q) * float(integrand.sum())
 
 
+def translation_kernel_matrix(
+    x_exponent: int, exponents: Sequence[int], table: TransformTable
+) -> np.ndarray:
+    """D[i, j] = D_v(q^x, q^{e_i}, q^{e_j}) for x = q^{x_exponent}, as one
+    matrix product over the window sum of :func:`translation_kernel`."""
+    params = table.params
+    rows = table.rows(exponents)
+    weighted = rows * (table.weights * table.jv_row(x_exponent))
+    return params.c_qv ** 2 * (1.0 - params.q) * (weighted @ rows.T)
+
+
 def translation_via_kernel(
     f: LatticeFunction, x_exponent: int, table: TransformTable
 ) -> LatticeFunction:
     """Kernel route of the translation: int f(z) D_v(x,y,z) z^{2v+1} d_qz."""
     lat = table.lattice
-    params = table.params
-    rows = table.rows(lat.indices)  # rows[i] = j(q^{n_i + k})
-    w = table.weights
-    x_row = table.jv_row(x_exponent)
-    # D(x, y_i, z_j) = c^2 (1-q) sum_k w_k x_row[k] rows[i,k] rows[j,k]
-    core = params.c_qv ** 2 * (1.0 - params.q) * ((rows * (w * x_row)) @ rows.T)
-    out = core @ (w * f.values) * (1.0 - params.q)
-    return LatticeFunction(lat, out)
+    core = translation_kernel_matrix(x_exponent, lat.indices, table)
+    return LatticeFunction(lat, core @ (table.weights * f.values) * (1.0 - table.params.q))
 
 
 def convolution(
@@ -235,8 +241,6 @@ class QvProbeReport:
 def _probe_integration_window(params: QParams, lattice: QLattice) -> QLattice:
     """Integration window for the D_v scan: extends past the probe window so
     the Jackson tail is below roundoff for every probed triple."""
-    import math
-
     decay = (2.0 * params.v + 2.0) * math.log(1.0 / params.q)
     top = max(lattice.n_max, int(math.ceil(40.0 / decay))) + 2
     bottom = lattice.n_min - 15
@@ -259,15 +263,12 @@ def qv_membership_probe(
 
     integration = _probe_integration_window(params, lattice)
     table = build_transform_table(params, integration)
-    k_lo = integration.n_min
-    rows = table.rows(lattice.indices)
-    w = table.weights
-    scale = params.c_qv ** 2 * (1.0 - params.q)
+    exponents = lattice.indices
     n_pts = lattice.size
     min_val, best = float("inf"), (0, 0, 0)
-    for i in range(n_pts):
+    for i, x in enumerate(exponents):
         # D(x_i, y_j, z_l) over all j, l at once
-        core = scale * ((rows * (w * rows[i])) @ rows.T)
+        core = translation_kernel_matrix(int(x), exponents, table)
         flat = int(np.argmin(core))
         if core.flat[flat] < min_val:
             min_val, best = float(core.flat[flat]), (i, *divmod(flat, n_pts))

@@ -39,7 +39,6 @@ class GramMatrix:
 
     point_exponents: List[int]
     entries: np.ndarray
-    min_eigenvalue: Optional[float] = None
 
     @property
     def hermitian_defect(self) -> float:
@@ -96,7 +95,6 @@ def is_q_positive_type(
     herm = 0.5 * (g.entries + g.entries.conj().T)
     vals, vecs = np.linalg.eigh(herm)
     lam = float(vals[0])
-    g.min_eigenvalue = lam
     scale = max(1.0, float(np.abs(g.entries).max()))
     ok = lam >= -tol * scale
     witness = None if ok else vecs[:, 0]
@@ -299,10 +297,7 @@ def measure_fourier_transform(xi: QMeasure, table: TransformTable) -> LatticeFun
     """Transform of a measure: no c_qv prefactor, unlike the function transform."""
     if xi.lattice != table.lattice:
         raise LatticeMismatchError("measure must live on the table lattice")
-    q = table.params.q
-    rows = table.rows(table.lattice.indices)
-    weighted = table.weights * xi.weights
-    vals = (1.0 - q) * (rows @ weighted)
+    vals = table.kernel_matrix @ xi.weights / table.params.c_qv
     return LatticeFunction(
         table.lattice, vals, value_at_zero=xi.total_mass_v(table.params)
     )

@@ -136,7 +136,6 @@ def _q_exponential_array(
 
 class JvResult(NamedTuple):
     value: float
-    terms_used: int
     max_term: float
     cancellation: bool
 
@@ -202,7 +201,7 @@ def hahn_exton_jv_detail(
         cancel = 2.3e-16 * max_term > 1e-11 * abs(value)
     else:
         cancel = max_term > 1.0
-    return JvResult(value=value, terms_used=n, max_term=max_term, cancellation=cancel)
+    return JvResult(value=value, max_term=max_term, cancellation=cancel)
 
 
 def hahn_exton_jv(
@@ -253,15 +252,9 @@ class QParams:
 
     @property
     def bessel_bound_constant(self) -> float:
-        """Envelope constant of the lattice Bessel bound."""
-        q2 = self.q * self.q
-        qv2 = self.q ** (2.0 * self.v + 2.0)
-        num = (
-            q_pochhammer_infinite(-q2, q2, self.trunc_tol, self.max_terms).real
-            * q_pochhammer_infinite(-qv2, q2, self.trunc_tol, self.max_terms).real
-        )
-        den = q_pochhammer_infinite(qv2, q2, self.trunc_tol, self.max_terms).real
-        return num / den
+        """Envelope constant of the lattice Bessel bound,
+        (-q^2, -q^{2v+2}; q^2)_inf / (q^{2v+2}; q^2)_inf = B_qv / c_qv."""
+        return self.B_qv / self.c_qv
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,32 @@ class TestLatticeTable:
         # but the entries that fit are nonzero
         assert tab[30] != 0.0  # m = -10
 
+    def test_steep_chain_stays_finite_and_flushes_to_zero(self):
+        # at q = 0.2 one recurrence step near m = -160 grows by about
+        # q^{2m} ~ 2^743, so the chain must renormalize on every step
+        params = QParams(q=0.2, v=0.0)
+        m_lo = -160
+        tab = lattice_jv_table(params, m_lo, 0)
+        assert np.all(np.isfinite(tab))
+        nonzero = np.flatnonzero(tab)
+        # values below double range are exactly 0, never subnormal, and they
+        # are the deepest entries
+        assert tab[0] == 0.0
+        assert np.all(np.abs(tab[nonzero]) >= np.finfo(float).tiny)
+        assert np.array_equal(nonzero, np.arange(nonzero[0], tab.size))
+        p2v = params.q ** (2.0 * params.v)
+        checked = 0
+        for m in range(m_lo, -2):
+            lhs, mid, top = tab[m - m_lo], tab[m - m_lo + 1], tab[m - m_lo + 2]
+            if 0.0 in (lhs, mid, top):
+                continue
+            a = (1.0 + p2v - params.q ** (2 * m + 2)) * mid
+            b = p2v * top
+            scale = max(abs(lhs), abs(a), abs(b), 1e-300)
+            assert abs(lhs - (a - b)) / scale < 1e-12
+            checked += 1
+        assert checked > 10
+
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             lattice_jv_table(QParams(q=0.5), 5, 4)

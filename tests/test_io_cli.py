@@ -209,6 +209,18 @@ class TestCLIJudgements:
         assert set(payload) == {"min_value", "witness", "verdict"}
         assert payload["witness"] is None
 
+    def test_probe_qv_scans_the_requested_window(self, capsys):
+        # --nmin -20 is the default of the other commands; probe-qv must
+        # still scan it when it is given explicitly
+        from qharm import qv_membership_probe
+        from qharm.qlattice import QParams
+
+        main(["probe-qv", "--q", "0.5", "--nmin", "-20", "--nmax", "20"])
+        payload = json.loads(capsys.readouterr().out)
+        report = qv_membership_probe(QParams(q=0.5), QLattice(0.5, -20, 20))
+        assert payload["min_value"] == report.min_value
+        assert payload["witness"] == (list(report.witness) if report.witness else None)
+
     def test_positivity_positive_verdict(self, tmp_path, capsys, rng):
         from qharm import build_transform_table, fourier_transform
         from qharm.qlattice import QParams

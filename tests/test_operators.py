@@ -18,6 +18,7 @@ from qharm import (
     translation_via_kernel,
     young_inequality_check,
 )
+from qharm.operators import translation_kernel_matrix
 from qharm.transform import interior_slice
 from qharm.verify import _random_compact
 
@@ -38,6 +39,24 @@ class TestTranslation:
         d3 = translation_kernel(-2, 1, 3, table05)
         assert d1 == pytest.approx(d2, rel=1e-12)
         assert d1 == pytest.approx(d3, rel=1e-12)
+
+    def test_kernel_matrix_matches_scalar_kernel(self, regime_table):
+        table = regime_table
+        exps = np.arange(-6, 9)
+        params = table.params
+        rows = np.abs(table.rows(exps))
+        for x in (-2, 0, 3):
+            d = translation_kernel_matrix(x, exps, table)
+            scalar = np.array(
+                [[translation_kernel(x, int(y), int(z), table) for z in exps] for y in exps]
+            )
+            # D_v vanishes up to roundoff for many triples, so errors are
+            # measured against the all-absolute version of the same sum
+            absolute = params.c_qv ** 2 * (1.0 - params.q) * (
+                (rows * (table.weights * np.abs(table.jv_row(x)))) @ rows.T
+            )
+            assert np.all(np.abs(d - scalar) <= 1e-13 * absolute)
+            assert np.all(np.abs(d - d.T) <= 1e-13 * absolute)
 
     def test_translation_of_bessel_probe_factorizes(self, table05):
         # T_u j_v(q^n .) = j_v(q^{n+u}) j_v(q^n .)
