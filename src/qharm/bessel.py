@@ -23,12 +23,7 @@ import math
 import numpy as np
 
 from .errors import PrecisionLossError
-from .qlattice import (
-    DEFAULT_MAX_TERMS,
-    DEFAULT_TRUNC_TOL,
-    QParams,
-    hahn_exton_jv_detail,
-)
+from .qlattice import QParams, hahn_exton_jv_detail
 
 # extra recurrence steps below the lowest requested exponent; contamination
 # decays superexponentially with this margin
@@ -55,9 +50,7 @@ def lattice_jv_table(params: QParams, m_lo: int, m_hi: int) -> np.ndarray:
     top_nonneg = max(m_hi, 3)
     series = {}
     for m in range(0, top_nonneg + 1):
-        series[m] = hahn_exton_jv_detail(
-            q ** m, q2, params.v, params.trunc_tol, params.max_terms
-        ).value
+        series[m] = hahn_exton_jv_detail(q ** m, q2, params.v).value
     for m in range(max(m_lo, 0), m_hi + 1):
         out[m - m_lo] = series[m]
 
@@ -90,13 +83,7 @@ def lattice_jv_table(params: QParams, m_lo: int, m_hi: int) -> np.ndarray:
     return out
 
 
-def hahn_exton_jv_stable(
-    z: float,
-    q_base: float,
-    v: float,
-    trunc_tol: float = DEFAULT_TRUNC_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> float:
+def hahn_exton_jv_stable(z: float, q_base: float, v: float) -> float:
     """Series evaluation with a recurrence fallback for cancelling arguments.
 
     When the alternating series loses precision and z sits on the lattice
@@ -107,7 +94,7 @@ def hahn_exton_jv_stable(
     1e-9, and raises PrecisionLossError otherwise: there is no better
     double-precision route for those.
     """
-    detail = hahn_exton_jv_detail(z, q_base, v, trunc_tol, max_terms)
+    detail = hahn_exton_jv_detail(z, q_base, v)
     if not detail.cancellation:
         return detail.value
     if z > 1.0:
@@ -115,8 +102,7 @@ def hahn_exton_jv_stable(
         m_real = math.log(z) / math.log(q)
         m = round(m_real)
         if m < 0 and abs(m_real - m) <= 1e-8:
-            params = QParams(q=q, v=v, trunc_tol=trunc_tol, max_terms=max_terms)
-            return float(lattice_jv_table(params, m, 0)[0])
+            return float(lattice_jv_table(QParams(q=q, v=v), m, 0)[0])
     loss = 2.3e-16 * detail.max_term / abs(detail.value) if detail.value else math.inf
     if loss > _MAX_SERIES_LOSS:
         raise PrecisionLossError(

@@ -21,7 +21,7 @@ from .lattice_io import (
     save_lattice_function,
 )
 from .operators import gauss_kernel, qv_membership_probe, convolution
-from .positivity import QMeasure, bochner_reconstruct, is_q_positive_type
+from .positivity import bochner_reconstruct, is_q_positive_type
 from .bessel import hahn_exton_jv_stable
 from .qlattice import (
     LatticeFunction,
@@ -259,14 +259,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CSVFormatError as exc:
         sys.stderr.write(f"{args.command}: CSV parse error: {exc}\n")
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, QHarmError, ValueError) as exc:
         sys.stderr.write(f"{args.command}: {exc}\n")
         return 2
-    except (QHarmError, ValueError) as exc:
-        sys.stderr.write(f"{args.command}: {exc}\n")
-        return 2
-    parser.error(f"unknown command {args.command!r}")
-    return 2
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ import csv
 import io
 import json
 from dataclasses import is_dataclass, fields as dataclass_fields
-from typing import Any, Optional, TextIO, Union
+from typing import Any, Optional, TextIO
 
 import numpy as np
 
@@ -135,20 +135,6 @@ def _jsonable(obj: Any) -> Any:
         return {"start": obj.start, "stop": obj.stop}
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
-    # reports sometimes embed lattice functions or measures; keep them compact
-    if isinstance(obj, LatticeFunction):
-        return {
-            "n_min": obj.lattice.n_min,
-            "n_max": obj.lattice.n_max,
-            "values": _jsonable(np.asarray(obj.values)),
-            "value_at_zero": _jsonable(obj.value_at_zero),
-        }
-    if hasattr(obj, "lattice") and hasattr(obj, "weights"):
-        return {
-            "n_min": obj.lattice.n_min,
-            "n_max": obj.lattice.n_max,
-            "weights": _jsonable(np.asarray(obj.weights)),
-        }
     return str(obj)
 
 

@@ -21,7 +21,7 @@ from .qlattice import (
     q_exponential,
     q_pochhammer_infinite,
 )
-from .transform import TransformTable, fourier_transform, fourier_transform_detail
+from .transform import TransformTable, build_transform_table, fourier_transform
 
 
 def translation(
@@ -165,15 +165,10 @@ def _gauss_kernel_parts(x, t: float, params: QParams):
     q2 = params.q ** 2
     q2v2 = params.q ** (2.0 * params.v + 2.0)
     qm2v = params.q ** (-2.0 * params.v)
-    tol, cap = params.trunc_tol, params.max_terms
-    num = q_pochhammer_infinite(-q2v2 * t, q2, tol, cap).real * q_pochhammer_infinite(
-        -qm2v / t, q2, tol, cap
-    ).real
-    den = q_pochhammer_infinite(-t, q2, tol, cap).real * q_pochhammer_infinite(
-        -q2 / t, q2, tol, cap
-    ).real
+    num = q_pochhammer_infinite(-q2v2 * t, q2).real * q_pochhammer_infinite(-qm2v / t, q2).real
+    den = q_pochhammer_infinite(-t, q2).real * q_pochhammer_infinite(-q2 / t, q2).real
     at_zero = num / den
-    return at_zero, at_zero * q_exponential(-qm2v * x * x / t, q2, tol, cap).real
+    return at_zero, at_zero * q_exponential(-qm2v * x * x / t, q2).real
 
 
 def gauss_kernel(x: float, t: float, params: QParams) -> float:
@@ -259,8 +254,6 @@ def qv_membership_probe(
     a fixed-order reduction and the first smallest entry wins, so the
     output is deterministic.
     """
-    from .transform import build_transform_table
-
     integration = _probe_integration_window(params, lattice)
     table = build_transform_table(params, integration)
     exponents = lattice.indices

@@ -1,28 +1,32 @@
 """Positive-type testing, lattice measures and the constructive Bochner pipeline.
 
 The positive-type criterion quantifies over every finite point list; the
-checker samples Gram matrices on configurable grids, so POSITIVE means "no
+checker samples Gram matrices on a fixed set of grids, so POSITIVE means "no
 violation found on the tested grids" while NEGATIVE is conclusive and comes
 with the violating coefficient vector.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import LatticeMismatchError
-from .qlattice import LatticeFunction, QLattice, QParams, jackson_integral, lp_norm
+from .qlattice import LatticeFunction, QLattice, QParams, lp_norm
 from .transform import (
     TransformTable,
+    clean_inversion_range,
     fourier_transform,
-    fourier_transform_detail,
     interior_slice,
 )
-from .operators import all_translations
+from .operators import all_translations, convolution
 
 DEFAULT_PSD_TOL = 1e-9
+
+# the hat cutoff phi_n perturbs the spectrum at order q^n; the per-level PSD
+# and density tolerances grant that perturbation 50 q^n on top of tol
+_CUTOFF_GUARD = 50.0
 
 
 def default_point_exponents(table: TransformTable) -> List[int]:
@@ -53,15 +57,21 @@ def gram_matrix(
     Uses the spectral form: entry (r,l) = c (1-q) sum_n w_n Fphi(q^n)
     j_v(q^{n+r}) j_v(q^{n+l}), i.e. one transform plus one quadratic form.
     """
+    return _spectral_gram(fourier_transform(phi, table).values, point_exponents, table)
+
+
+def _spectral_gram(
+    spectrum: np.ndarray, point_exponents: Sequence[int], table: TransformTable
+) -> GramMatrix:
+    """The Gram matrix as a quadratic form in the spectrum F phi."""
     pts = list(point_exponents)
     if len(set(pts)) != len(pts):
         raise ValueError("gram points must be distinct")
     for n in pts:
         table.lattice.index_of(n)  # bounds check
-    ff = fourier_transform(phi, table)
     params = table.params
     rows = table.rows(pts)
-    diag = params.c_qv * (1.0 - params.q) * table.weights * ff.values
+    diag = params.c_qv * (1.0 - params.q) * table.weights * spectrum
     entries = (rows * diag) @ rows.T
     return GramMatrix(point_exponents=pts, entries=entries)
 
@@ -89,9 +99,20 @@ def is_q_positive_type(
     """
     if table is None:
         raise ValueError("a transform table is required")
+    spectrum = fourier_transform(phi, table).values
+    return _spectral_verdict(spectrum, point_exponents, table, tol)
+
+
+def _spectral_verdict(
+    spectrum: np.ndarray,
+    point_exponents: Optional[Sequence[int]],
+    table: TransformTable,
+    tol: float,
+) -> PositivityVerdict:
+    """The PSD verdict of :func:`is_q_positive_type` from the spectrum F phi."""
     if point_exponents is None:
         point_exponents = default_point_exponents(table)
-    g = gram_matrix(phi, point_exponents, table)
+    g = _spectral_gram(spectrum, point_exponents, table)
     herm = 0.5 * (g.entries + g.entries.conj().T)
     vals, vecs = np.linalg.eigh(herm)
     lam = float(vals[0])
@@ -117,30 +138,29 @@ class GridSweepReport:
         return all(v.positive for v in self.verdicts)
 
 
-def _sample_grids(table: TransformTable, rng: np.random.Generator, count: int) -> List[List[int]]:
+def _grid_sweep(fn: LatticeFunction, table: TransformTable, tol: float) -> GridSweepReport:
+    """PSD verdicts for fn on the default grid plus 4 grids drawn with seed 0.
+
+    fn is transformed once; every grid is a quadratic form in that spectrum.
+    """
+    spectrum = fourier_transform(fn, table).values
     lat = table.lattice
+    rng = np.random.default_rng(0)
     grids = [default_point_exponents(table)]
     pool = np.arange(max(lat.n_min, -4), min(lat.n_max, 14) + 1)
-    for _ in range(count):
+    for _ in range(4):
         size = int(rng.integers(3, min(9, pool.size)))
         grids.append(sorted(int(n) for n in rng.choice(pool, size=size, replace=False)))
-    return grids
+    return GridSweepReport(
+        verdicts=tuple(_spectral_verdict(spectrum, g, table, tol) for g in grids)
+    )
 
 
 def verify_transform_positive_type(
-    phi: LatticeFunction,
-    table: TransformTable,
-    tol: float = DEFAULT_PSD_TOL,
-    grids: int = 4,
-    seed: int = 0,
+    phi: LatticeFunction, table: TransformTable, tol: float = DEFAULT_PSD_TOL
 ) -> GridSweepReport:
     """Run the PSD test on F phi over the default grid plus sampled grids."""
-    ff = fourier_transform(phi, table)
-    rng = np.random.default_rng(seed)
-    verdicts = [
-        is_q_positive_type(ff, g, table, tol) for g in _sample_grids(table, rng, grids)
-    ]
-    return GridSweepReport(verdicts=tuple(verdicts))
+    return _grid_sweep(fourier_transform(phi, table), table, tol)
 
 
 @dataclass(frozen=True)
@@ -157,8 +177,6 @@ def verify_quadratic_form_positivity(
     tol: float = DEFAULT_PSD_TOL,
 ) -> QuadraticFormReport:
     """<phi * f, f> in the x^{2v+1}-weighted inner product."""
-    from .operators import convolution
-
     conv = convolution(phi, f, table, route="spectral")
     w = table.weights
     val = complex((1.0 - table.params.q) * np.sum(w * conv.values * np.conj(f.values)))
@@ -254,19 +272,10 @@ def product_positive_type_check(
     f_nonneg: LatticeFunction,
     table: TransformTable,
     tol: float = DEFAULT_PSD_TOL,
-    grids: int = 4,
-    seed: int = 0,
 ) -> GridSweepReport:
     """PSD sweep of the product phi . F(f_nonneg)."""
     ff = fourier_transform(f_nonneg, table)
-    prod = LatticeFunction(table.lattice, phi.values * ff.values)
-    if phi.value_at_zero is not None and ff.value_at_zero is not None:
-        prod.value_at_zero = phi.value_at_zero * ff.value_at_zero
-    rng = np.random.default_rng(seed)
-    verdicts = [
-        is_q_positive_type(prod, g, table, tol) for g in _sample_grids(table, rng, grids)
-    ]
-    return GridSweepReport(verdicts=tuple(verdicts))
+    return _grid_sweep(LatticeFunction(table.lattice, phi.values * ff.values), table, tol)
 
 
 @dataclass
@@ -346,8 +355,6 @@ def measure_product_identity_error(
     the product (weights and kernel in absolute value), the precision
     actually attainable for these heavily v-weighted sums.
     """
-    from .transform import clean_inversion_range
-
     lat = table.lattice
     q = table.params.q
     f_xi = measure_fourier_transform(xi, table)
@@ -408,17 +415,16 @@ def bochner_reconstruct(
     levels: Sequence[int],
     table: TransformTable,
     tol: float = DEFAULT_PSD_TOL,
-    cutoff_guard: float = 50.0,
 ) -> BochnerReport:
     """Constructive Bochner pipeline.
 
-    Per level n: cutoff phi_n, PSD check of its Gram matrix, density
-    rho_n = F phi_n, mass check against phi(0), and the deviation of
-    c F(xi_n) from phi.  The hat cutoff perturbs the spectrum at order q^n,
-    so the per-level PSD and density-negativity tolerances carry a q^n-scaled
-    guard; the limit measure, obtained by eliminating the exactly geometric
-    q^n cutoff term from the last two levels, is held to the strict
-    tolerance.
+    Per level n: cutoff phi_n, density rho_n = F phi_n, PSD check of the
+    Gram matrix of phi_n (a quadratic form in rho_n), mass check against
+    phi(0), and the deviation of c F(xi_n) from phi.  The hat cutoff
+    perturbs the spectrum at order q^n, so the per-level PSD and
+    density-negativity tolerances carry a q^n-scaled guard; the limit
+    measure, obtained by eliminating the exactly geometric q^n cutoff term
+    from the last two levels, is held to the strict tolerance.
     """
     if phi.value_at_zero is None:
         raise ValueError("phi must carry value_at_zero")
@@ -439,10 +445,9 @@ def bochner_reconstruct(
     accepted = True
     reason = None
     for n in levels:
-        phi_n = bochner_cutoff(norm_phi, n)
-        guard = cutoff_guard * q ** n
-        verdict = is_q_positive_type(phi_n, None, table, tol + guard)
-        rho_n = fourier_transform(phi_n, table)
+        rho_n = fourier_transform(bochner_cutoff(norm_phi, n), table)
+        guard = _CUTOFF_GUARD * q ** n
+        verdict = _spectral_verdict(rho_n.values, None, table, tol + guard)
         dens = rho_n.values.real
         dens_min = float(dens.min())
         dens_scale = max(float(np.abs(dens).max()), 1e-300)

@@ -7,9 +7,8 @@ on a finite lattice window.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -225,8 +224,6 @@ class QParams:
 
     q: float
     v: float = 0.0
-    trunc_tol: float = DEFAULT_TRUNC_TOL
-    max_terms: int = DEFAULT_MAX_TERMS
     c_qv: float = field(init=False)
     B_qv: float = field(init=False)
 
@@ -235,16 +232,12 @@ class QParams:
             raise ValueError(f"q must lie in (0,1), got {self.q}")
         if self.v <= -1.0:
             raise ValueError(f"v must exceed -1, got {self.v}")
-        if self.trunc_tol <= 0.0:
-            raise ValueError("trunc_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
         q2 = self.q * self.q
         qv2 = self.q ** (2.0 * self.v + 2.0)
-        poch_q2 = q_pochhammer_infinite(q2, q2, self.trunc_tol, self.max_terms).real
-        poch_qv2 = q_pochhammer_infinite(qv2, q2, self.trunc_tol, self.max_terms).real
-        poch_neg_q2 = q_pochhammer_infinite(-q2, q2, self.trunc_tol, self.max_terms).real
-        poch_neg_qv2 = q_pochhammer_infinite(-qv2, q2, self.trunc_tol, self.max_terms).real
+        poch_q2 = q_pochhammer_infinite(q2, q2).real
+        poch_qv2 = q_pochhammer_infinite(qv2, q2).real
+        poch_neg_q2 = q_pochhammer_infinite(-q2, q2).real
+        poch_neg_qv2 = q_pochhammer_infinite(-qv2, q2).real
         object.__setattr__(self, "c_qv", poch_qv2 / poch_q2 / (1.0 - self.q))
         object.__setattr__(
             self, "B_qv", poch_neg_q2 * poch_neg_qv2 / poch_q2 / (1.0 - self.q)

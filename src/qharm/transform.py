@@ -9,13 +9,14 @@ measure on an interior sub-window.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .bessel import bessel_bound_envelope, lattice_jv_table
 from .errors import LatticeMismatchError
-from .qlattice import LatticeFunction, QLattice, QParams, lp_norm
+from .qlattice import DEFAULT_TRUNC_TOL, LatticeFunction, QLattice, QParams, lp_norm
 
 BOUND_SLACK = 1e-9
 
@@ -51,27 +52,20 @@ class TransformTable:
             raise IndexError("row exponent outside the window")
         return self.bessel_values[offsets[:, None] + np.arange(self.lattice.size)]
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
         """Jackson-plus-measure weights q^{n(2v+2)} over the window."""
-        cached = self.__dict__.get("_weights")
-        if cached is None:
-            expo = (2.0 * self.params.v + 2.0) * self.lattice.indices.astype(float)
-            cached = self.params.q ** expo
-            cached.flags.writeable = False  # shared by every caller
-            object.__setattr__(self, "_weights", cached)
-        return cached
+        expo = (2.0 * self.params.v + 2.0) * self.lattice.indices.astype(float)
+        weights = self.params.q ** expo
+        weights.flags.writeable = False  # shared by every caller
+        return weights
 
-    @property
+    @cached_property
     def kernel_matrix(self) -> np.ndarray:
         """Dense transform matrix M[k,n] = c (1-q) q^{n(2v+2)} j_v(q^{k+n})."""
-        cached = self.__dict__.get("_kernel_matrix")
-        if cached is None:
-            hankel = self.rows(self.lattice.indices)
-            scale = self.params.c_qv * (1.0 - self.params.q)
-            cached = scale * hankel * self.weights[None, :]
-            object.__setattr__(self, "_kernel_matrix", cached)
-        return cached
+        hankel = self.rows(self.lattice.indices)
+        scale = self.params.c_qv * (1.0 - self.params.q)
+        return scale * hankel * self.weights[None, :]
 
 
 def build_transform_table(params: QParams, lattice: QLattice) -> TransformTable:
@@ -115,8 +109,8 @@ def fourier_transform_detail(
 
     The output lives on the input window; value_at_zero is filled from the
     j_v(0)=1 limit of the same sum.  An edge warning is raised when the
-    summand magnitude at either window end exceeds trunc_tol (the window then
-    visibly truncates the infinite Jackson sum).
+    summand magnitude at either window end exceeds DEFAULT_TRUNC_TOL (the
+    window then visibly truncates the infinite Jackson sum).
     """
     _check_lattice(f, table)
     params = table.params
@@ -124,7 +118,7 @@ def fourier_transform_detail(
     weighted = table.weights * f.values
     out = table.kernel_matrix @ f.values
     at_zero = scale * weighted.sum()
-    tol = params.trunc_tol
+    tol = DEFAULT_TRUNC_TOL
     edge = bool(abs(weighted[0]) > tol or abs(weighted[-1]) > tol)
     return TransformResult(
         LatticeFunction(table.lattice, out, value_at_zero=at_zero), edge
@@ -172,13 +166,11 @@ class InversionReport:
     edge_warning: bool
 
 
-def verify_inversion(
-    f: LatticeFunction, table: TransformTable, fraction: float = 0.6
-) -> InversionReport:
+def verify_inversion(f: LatticeFunction, table: TransformTable) -> InversionReport:
     """Max deviation of F(F f) from f on the interior sub-window."""
     first = fourier_transform_detail(f, table)
     second = fourier_transform_detail(first.function, table)
-    sl = interior_slice(table.lattice, fraction)
+    sl = interior_slice(table.lattice)
     diff = np.abs(second.function.values[sl] - f.values[sl])
     scale = float(np.abs(f.values).max())
     err = float(diff.max()) / scale if scale > 0.0 else float(diff.max()) if diff.size else 0.0

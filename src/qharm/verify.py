@@ -8,8 +8,8 @@ reruns just that check.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from .qlattice import LatticeFunction, QLattice, QParams, q_exponential
 from .transform import (
     TransformTable,
     build_transform_table,
+    clean_inversion_range,
     fourier_transform,
     interior_slice,
     verify_inversion,
@@ -27,7 +28,6 @@ from .transform import (
 from .bessel import bessel_bound_envelope
 from .operators import (
     convolution,
-    gauss_kernel,
     gauss_kernel_function,
     gauss_delta_limit_check,
     translation,
@@ -81,8 +81,6 @@ def _random_compact(lattice: QLattice, rng: np.random.Generator) -> LatticeFunct
     reaches exponent about -n, so draws keep their support inside the
     cleanly invertible exponent range.
     """
-    from .transform import clean_inversion_range
-
     lo_n, hi_n = clean_inversion_range(lattice)
     lo = int(rng.integers(lattice.index_of(lo_n), lattice.index_of(hi_n) - 1))
     hi = int(rng.integers(lo + 1, lattice.index_of(hi_n) + 1))
@@ -99,8 +97,6 @@ def _nonneg_density(lattice: QLattice, rng: np.random.Generator) -> LatticeFunct
 
 def _random_measure_weights(lattice: QLattice, rng: np.random.Generator) -> np.ndarray:
     """Nonnegative weights supported on exponents in [-2, 12]."""
-    from .transform import clean_inversion_range
-
     lo_n, hi_n = clean_inversion_range(lattice)
     lo = lattice.index_of(max(-2, lo_n))
     hi = lattice.index_of(hi_n)
@@ -122,7 +118,7 @@ def _gaussian_density(table: TransformTable, width_exp: int = 0) -> LatticeFunct
     q2 = params.q ** 2
     t = params.q ** (2 * width_exp)
     x = table.lattice.points
-    vals = q_exponential(-t * x * x, q2, params.trunc_tol, params.max_terms).real
+    vals = q_exponential(-t * x * x, q2).real
     return LatticeFunction(table.lattice, vals, value_at_zero=1.0)
 
 

@@ -22,8 +22,15 @@ from qharm import (
     verify_transform_positive_type,
     wiener_membership,
 )
+import qharm.positivity
+from qharm.positivity import DEFAULT_PSD_TOL, default_point_exponents
 from qharm.transform import interior_slice
-from qharm.verify import _gaussian_density, _nonneg_density, _random_measure_weights
+from qharm.verify import (
+    _gaussian_density,
+    _nonneg_density,
+    _random_compact,
+    _random_measure_weights,
+)
 
 
 def positive_type_fn(table, rng):
@@ -212,3 +219,97 @@ class TestBochner:
         phi = fourier_transform(rho, table05)
         with pytest.raises(ValueError):
             bochner_reconstruct(phi, [3], table05)
+
+
+def _sweep_grids(table):
+    """The default grid, then four grids drawn from default_rng(0)."""
+    lat = table.lattice
+    rng = np.random.default_rng(0)
+    grids = [default_point_exponents(table)]
+    pool = np.arange(max(lat.n_min, -4), min(lat.n_max, 14) + 1)
+    for _ in range(4):
+        size = int(rng.integers(3, min(9, pool.size)))
+        grids.append(sorted(int(n) for n in rng.choice(pool, size=size, replace=False)))
+    return grids
+
+
+def _assert_same_verdict(got, want):
+    assert got.positive == want.positive
+    assert got.min_eigenvalue == want.min_eigenvalue
+    assert got.scale == want.scale
+    assert got.tolerance == want.tolerance
+    assert got.point_exponents == want.point_exponents
+    if want.witness is None:
+        assert got.witness is None
+    else:
+        assert np.array_equal(got.witness, want.witness)
+
+
+class TestSpectralRoute:
+    """Positivity verdicts come from one transform of the tested function."""
+
+    @pytest.fixture
+    def count_transforms(self, monkeypatch):
+        calls = []
+        original = qharm.positivity.fourier_transform
+
+        def counted(f, table):
+            calls.append(1)
+            return original(f, table)
+
+        monkeypatch.setattr(qharm.positivity, "fourier_transform", counted)
+        return calls
+
+    def test_bochner_transforms_once_per_level(self, table05, count_transforms):
+        phi = fourier_transform(_gaussian_density(table05, width_exp=1), table05)
+        for n_levels in (2, 5, 10):
+            count_transforms.clear()
+            bochner_reconstruct(phi, range(1, n_levels + 1), table05)
+            assert len(count_transforms) == n_levels
+
+    def test_sweeps_transform_twice(self, table05, rng, count_transforms):
+        phi = positive_type_fn(table05, rng)
+        f = _nonneg_density(table05.lattice, rng)
+        count_transforms.clear()
+        verify_transform_positive_type(phi, table05)
+        assert len(count_transforms) == 2
+        count_transforms.clear()
+        product_positive_type_check(phi, f, table05)
+        assert len(count_transforms) == 2
+
+    def test_sweeps_match_single_grid_verdicts(self, regime_table, rng):
+        lat = regime_table.lattice
+        grids = _sweep_grids(regime_table)
+        f = _nonneg_density(lat, rng)
+        ff = fourier_transform(f, regime_table)
+        # a signed phi makes F phi fail: the negative verdicts carry witnesses
+        for phi in (positive_type_fn(regime_table, rng), _random_compact(lat, rng)):
+            rep = verify_transform_positive_type(phi, regime_table)
+            fphi = fourier_transform(phi, regime_table)
+            assert len(rep.verdicts) == len(grids)
+            for got, g in zip(rep.verdicts, grids):
+                _assert_same_verdict(got, is_q_positive_type(fphi, g, regime_table))
+            rep = product_positive_type_check(phi, f, regime_table)
+            prod = LatticeFunction(lat, phi.values * ff.values)
+            assert len(rep.verdicts) == len(grids)
+            for got, g in zip(rep.verdicts, grids):
+                _assert_same_verdict(got, is_q_positive_type(prod, g, regime_table))
+
+    def test_bochner_levels_match_single_grid_verdicts(self, regime_table):
+        q = regime_table.params.q
+        phi = fourier_transform(_gaussian_density(regime_table, width_exp=1), regime_table)
+        norm_phi = LatticeFunction(
+            regime_table.lattice,
+            phi.values / complex(phi.value_at_zero),
+            value_at_zero=1.0,
+        )
+        rep = bochner_reconstruct(phi, range(1, 11), regime_table)
+        assert [lev.level for lev in rep.levels] == list(range(1, 11))
+        for lev in rep.levels:
+            tol = DEFAULT_PSD_TOL + 50.0 * q ** lev.level
+            want = is_q_positive_type(
+                bochner_cutoff(norm_phi, lev.level), None, regime_table, tol
+            )
+            assert lev.min_eigenvalue == want.min_eigenvalue
+            assert lev.psd_positive == want.positive
+            assert lev.psd_tolerance == want.tolerance

@@ -167,7 +167,8 @@ class TestQParams:
             QParams(q=1.0)
         with pytest.raises(ValueError):
             QParams(q=0.5, v=-1.0)
-        with pytest.raises(ValueError):
+        # QParams is (q, v) only: a truncation setting is refused
+        with pytest.raises(TypeError):
             QParams(q=0.5, trunc_tol=0.0)
 
 
