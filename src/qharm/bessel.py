@@ -1,20 +1,23 @@
 """Lattice tables of the normalized Hahn-Exton q-Bessel function.
 
 Transform kernels only ever need j_v(q^m, q^2) at integer exponents m.  For
-m >= 0 the defining series is benign in double precision.  For m < 0 the
-series cancels catastrophically (the true value decays like q^{m^2} while
-intermediate terms explode), so the table is filled by the three-term
-recurrence in the argument exponent,
+m >= 0 the table sums the defining series for the whole band in one call.  Its
+roundoff, about eps times the largest term, stays within about 1e-11 of the
+value up to q = 0.9, but near m = 0 it grows toward q = 1: at v = 0 the worst
+true error is 4.0e-9 at q = 0.95 and 4.6e-4 at q = 0.97, and no table refuses
+it yet.  For m < 0 the series cancels catastrophically (the true value decays
+like q^{m^2} while intermediate terms explode), so the table is filled by the
+three-term recurrence in the argument exponent,
 
     j(q^m) = (1 + q^{2v} - q^{2m+2}) j(q^{m+1}) - q^{2v} j(q^{m+2}),
 
 run upward from tiny seeds well below the window (Miller's algorithm: the
 desired solution is minimal in the downward direction, so contamination from
 the dominant solution dies off as the recurrence climbs) and normalized
-against series values at the top.  The dynamic range of j along the chain
-exceeds what a double can hold, so the chain is kept as two lists of plain
-floats and ints, a frexp mantissa and a base-2 exponent per entry, and each
-step renormalizes its new entry.
+against a series value at m in 0..3, whose error it inherits.  The dynamic
+range of j along the chain exceeds what a double can hold, so the chain is
+kept as two lists of plain floats and ints, a frexp mantissa and a base-2
+exponent per entry, and each step renormalizes its new entry.
 """
 from __future__ import annotations
 
@@ -44,22 +47,21 @@ def lattice_jv_table(params: QParams, m_lo: int, m_hi: int) -> np.ndarray:
     if m_lo > m_hi:
         raise ValueError("empty exponent range")
     q = params.q
-    q2 = q * q
     out = np.empty(m_hi - m_lo + 1, dtype=float)
 
-    top_nonneg = max(m_hi, 3)
-    series = {}
-    for m in range(0, top_nonneg + 1):
-        series[m] = hahn_exton_jv_detail(q ** m, q2, params.v).value
-    for m in range(max(m_lo, 0), m_hi + 1):
-        out[m - m_lo] = series[m]
+    # one series call for the whole m >= 0 band; z = q^m by Python's pow, as
+    # the per-exponent calls had it (np.power rounds some of them differently)
+    z = np.array([q ** m for m in range(max(m_hi, 3) + 1)])
+    series = hahn_exton_jv_detail(z, q * q, params.v).value
+    if m_hi >= 0:
+        out[max(m_lo, 0) - m_lo :] = series[max(m_lo, 0) : m_hi + 1]
 
     if m_lo < 0:
         p2v = q ** (2.0 * params.v)
         start = m_lo - _SEED_MARGIN
         # normalize where the series value is largest in magnitude, to dodge
         # accidental proximity to a zero of j
-        m_ref = max(range(0, 4), key=lambda m: abs(series[m]))
+        m_ref = int(np.argmax(abs(series[:4])))
         # j at exponent start + i is mant[i] * 2**expo[i] (up to one global
         # scale); every step renormalizes, since one step can grow by q^{2m}
         mant, expo = [0.0, 1.0], [0, _MIN_EXP]

@@ -56,7 +56,7 @@ class VerificationEntry:
     status: str  # pass | fail | skip
     measured_error: float
     tolerance: float
-    runtime_ms: int
+    runtime_ms: float  # wall time of the check, rounded to 0.001 ms
     detail: str = ""
     repro: Optional[str] = None
 
@@ -420,7 +420,7 @@ def run_suite(
     for sid, default_tol, check in _registry():
         if wanted is not None and sid not in wanted:
             entries.append(
-                VerificationEntry(sid, "skip", 0.0, default_tol, 0, "not selected")
+                VerificationEntry(sid, "skip", 0.0, default_tol, 0.0, "not selected")
             )
             continue
         use_tol = default_tol if tol is None else tol
@@ -429,7 +429,7 @@ def run_suite(
             err, detail = check(table, use_tol)
         except Exception as exc:  # a crash is a failure with infinite error
             err, detail = float("inf"), f"exception: {exc!r}"
-        ms = int(round((time.perf_counter() - t0) * 1000.0))
+        ms = round((time.perf_counter() - t0) * 1000.0, 3)
         status = "pass" if err <= use_tol else "fail"
         repro = None
         if status == "fail":

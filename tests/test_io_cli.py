@@ -290,6 +290,13 @@ class TestCLIVerify:
         assert by_id["Prop1"]["status"] == "fail"
         assert "--only Prop1" in by_id["Prop1"]["repro"]
 
+    def test_runtime_in_thousandths_of_a_millisecond(self, capsys):
+        assert main(["verify", "--only", "Prop1"]) == 0
+        by_id = {e["statement_id"]: e for e in json.loads(capsys.readouterr().out)["entries"]}
+        ms = by_id["Prop1"]["runtime_ms"]
+        assert isinstance(ms, float) and 0.0 < ms == round(ms, 3)
+        assert by_id["Prop2"]["runtime_ms"] == 0.0
+
     def test_verify_deterministic(self, capsys):
         assert main(["verify", "--only", "Prop1,Prop2"]) == 0
         first = capsys.readouterr().out
