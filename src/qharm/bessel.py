@@ -90,8 +90,10 @@ def hahn_exton_jv_stable(z: float, q_base: float, v: float) -> float:
 
     When the alternating series loses precision and z sits on the lattice
     z = q^m (q = sqrt(q_base), integer m < 0), the value is taken from the
-    recurrence-based table instead, which is accurate to machine precision
-    there.  Any other cancelling argument keeps the flagged series value
+    recurrence-based table instead.  That table is normalised on a series
+    value at m in 0..3 and inherits its roundoff: within about 1e-11 up to
+    q = 0.9, growing toward q = 1 (see the module docstring).  Any other
+    cancelling argument keeps the flagged series value
     when its estimated relative error eps * max_term / |value| stays within
     1e-9, and raises PrecisionLossError otherwise: there is no better
     double-precision route for those.

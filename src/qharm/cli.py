@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -20,8 +20,8 @@ from .lattice_io import (
     report_to_json,
     save_lattice_function,
 )
-from .operators import gauss_kernel, qv_membership_probe, convolution
-from .positivity import bochner_reconstruct, is_q_positive_type
+from .operators import DEFAULT_PROBE_TOL, gauss_kernel, qv_membership_probe, convolution
+from .positivity import DEFAULT_PSD_TOL, bochner_reconstruct, is_q_positive_type
 from .bessel import hahn_exton_jv_stable
 from .qlattice import (
     LatticeFunction,
@@ -35,12 +35,20 @@ from .transform import build_transform_table, fourier_transform
 from .verify import run_suite
 
 
-def _add_common(p: argparse.ArgumentParser, nmin: int = -20, nmax: int = 60) -> None:
+def _add_common(
+    p: argparse.ArgumentParser,
+    window: Optional[Tuple[int, int]] = None,
+    tol: Optional[float] = None,
+    tol_help: Optional[str] = None,
+) -> None:
+    """--q, --v and --output; the window and --tol only where they are read."""
     p.add_argument("--q", type=float, default=0.5, help="base, 0 < q < 1")
     p.add_argument("--v", type=float, default=0.0, help="order parameter v > -1")
-    p.add_argument("--nmin", type=int, default=nmin, help="lowest lattice exponent")
-    p.add_argument("--nmax", type=int, default=nmax, help="highest lattice exponent")
-    p.add_argument("--tol", type=float, default=None, help="tolerance override")
+    if window is not None:
+        p.add_argument("--nmin", type=int, default=window[0], help="lowest lattice exponent")
+        p.add_argument("--nmax", type=int, default=window[1], help="highest lattice exponent")
+    if tol_help is not None:
+        p.add_argument("--tol", type=float, default=tol, help=tol_help)
     p.add_argument("--output", type=str, default=None, help="output file path")
 
 
@@ -60,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--a", type=float, help="pochhammer argument")
     p_eval.add_argument("--z", type=float, help="series argument")
     p_eval.add_argument("--n", type=int, help="finite pochhammer length (omit for infinite)")
-    p_eval.add_argument("--qbase", type=float, help="series base (defaults to q)")
+    p_eval.add_argument("--qbase", type=float, help="series base (default q for qexp, q^2 for jv)")
     p_eval.add_argument("--x", type=float, help="gauss kernel point")
     p_eval.add_argument("--t", type=float, default=1.0, help="gauss kernel width")
     _add_common(p_eval)
@@ -77,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_probe = sub.add_parser("probe-qv", help="window scan of the translation kernel sign")
     # the probe default window is deliberately small; the kernel scan is cubic
-    _add_common(p_probe, nmin=-8, nmax=12)
+    _add_common(p_probe, (-8, 12), DEFAULT_PROBE_TOL, "kernel values below -tol are negativity")
 
     p_pos = sub.add_parser("positivity", help="PSD test of the translation Gram matrix")
     p_pos.add_argument("input", help="lattice function CSV")
@@ -87,12 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated lattice exponents for the Gram grid",
     )
-    _add_common(p_pos)
+    _add_common(p_pos, tol=DEFAULT_PSD_TOL, tol_help="PSD tolerance of the Gram test")
 
     p_boch = sub.add_parser("bochner", help="constructive Bochner pipeline")
     p_boch.add_argument("input", help="positive-type function CSV")
     p_boch.add_argument("--levels", type=int, default=10, help="cutoff levels 1..N")
-    _add_common(p_boch)
+    _add_common(p_boch, tol=DEFAULT_PSD_TOL, tol_help="tolerance of the level and limit checks")
 
     p_ver = sub.add_parser("verify", help="run the full verification suite")
     p_ver.add_argument(
@@ -101,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated statement ids to run (others are skipped)",
     )
-    _add_common(p_ver)
+    _add_common(p_ver, (-20, 60), tol_help="override of every statement's tolerance")
     return parser
 
 
@@ -180,8 +188,7 @@ def _cmd_convolve(args: argparse.Namespace) -> int:
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:
-    tol = args.tol if args.tol is not None else 1e-10
-    report = qv_membership_probe(_params(args), _lattice(args), tolerance=tol)
+    report = qv_membership_probe(_params(args), _lattice(args), tolerance=args.tol)
     payload = {
         "min_value": report.min_value,
         "witness": list(report.witness) if report.witness else None,
@@ -198,8 +205,7 @@ def _cmd_positivity(args: argparse.Namespace) -> int:
     points = None
     if args.points:
         points = [int(s) for s in args.points.split(",")]
-    tol = args.tol if args.tol is not None else 1e-9
-    verdict = is_q_positive_type(f, points, table, tol)
+    verdict = is_q_positive_type(f, points, table, args.tol)
     payload = {
         "verdict": "POSITIVE" if verdict.positive else "NEGATIVE",
         "min_eigenvalue": verdict.min_eigenvalue,
@@ -220,8 +226,7 @@ def _cmd_bochner(args: argparse.Namespace) -> int:
         return 2
     params = _params(args)
     table = build_transform_table(params, f.lattice)
-    tol = args.tol if args.tol is not None else 1e-9
-    report = bochner_reconstruct(f, range(1, args.levels + 1), table, tol)
+    report = bochner_reconstruct(f, range(1, args.levels + 1), table, args.tol)
     sys.stdout.write(report_to_json(report))
     if args.output is not None and report.limit_measure is not None:
         # recovered measure written as a lattice function CSV of its weights

@@ -23,6 +23,9 @@ from .qlattice import (
 )
 from .transform import TransformTable, build_transform_table, fourier_transform
 
+# a scanned D_v value below -DEFAULT_PROBE_TOL is reported as negativity
+DEFAULT_PROBE_TOL = 1e-10
+
 
 def translation(
     f: LatticeFunction, x_exponent: int, table: TransformTable
@@ -245,7 +248,7 @@ def _probe_integration_window(params: QParams, lattice: QLattice) -> QLattice:
 def qv_membership_probe(
     params: QParams,
     lattice: QLattice,
-    tolerance: float = 1e-10,
+    tolerance: float = DEFAULT_PROBE_TOL,
 ) -> QvProbeReport:
     """Exhaustive window scan of min D_v(x,y,z).
 

@@ -16,6 +16,7 @@ from .errors import LatticeMismatchError, PoleProximityError, TruncationCapError
 
 Complex = Union[float, complex]
 
+# truncation of every q-product and q-series loop below, read at call time
 DEFAULT_TRUNC_TOL = 1e-18
 DEFAULT_MAX_TERMS = 10000
 
@@ -34,33 +35,24 @@ def q_pochhammer_finite(a: Complex, q: float, n: int) -> Complex:
     return out
 
 
-def q_pochhammer_infinite(
-    a: Complex,
-    q: float,
-    trunc_tol: float = DEFAULT_TRUNC_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> Complex:
-    """(a;q)_inf, truncated at the first factor with |a| q^i < trunc_tol."""
+def q_pochhammer_infinite(a: Complex, q: float) -> Complex:
+    """(a;q)_inf, truncated at the first factor with |a| q^i < DEFAULT_TRUNC_TOL."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0,1), got {q}")
     out: Complex = 1.0
     mag = abs(a)
-    for i in range(max_terms):
-        if mag < trunc_tol:
+    for i in range(DEFAULT_MAX_TERMS):
+        if mag < DEFAULT_TRUNC_TOL:
             return out
         out *= 1.0 - a * (q ** i)
         mag *= q
     raise TruncationCapError(
-        f"(a;q)_inf did not reach tolerance {trunc_tol} within {max_terms} factors"
+        f"(a;q)_inf did not reach tolerance {DEFAULT_TRUNC_TOL} "
+        f"within {DEFAULT_MAX_TERMS} factors"
     )
 
 
-def q_exponential(
-    z: Complex,
-    q: float,
-    trunc_tol: float = DEFAULT_TRUNC_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> Complex:
+def q_exponential(z: Complex, q: float) -> Complex:
     """e(z,q) = 1/(z;q)_inf.
 
     The product form continues the series sum z^n/(q;q)_n beyond |z| < 1.
@@ -70,11 +62,11 @@ def q_exponential(
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0,1), got {q}")
     if isinstance(z, np.ndarray):
-        return _q_exponential_array(z, q, trunc_tol, max_terms)
+        return _q_exponential_array(z, q)
     denom: Complex = 1.0
     mag = abs(z)
-    for i in range(max_terms):
-        if mag < trunc_tol:
+    for i in range(DEFAULT_MAX_TERMS):
+        if mag < DEFAULT_TRUNC_TOL:
             return 1.0 / denom
         factor = 1.0 - z * (q ** i)
         if abs(factor) < 1e-12 * (1.0 + mag):
@@ -82,13 +74,12 @@ def q_exponential(
         denom *= factor
         mag *= q
     raise TruncationCapError(
-        f"e(z,q) product did not reach tolerance {trunc_tol} within {max_terms} factors"
+        f"e(z,q) product did not reach tolerance {DEFAULT_TRUNC_TOL} "
+        f"within {DEFAULT_MAX_TERMS} factors"
     )
 
 
-def _q_exponential_array(
-    z: np.ndarray, q: float, trunc_tol: float, max_terms: int
-) -> np.ndarray:
+def _q_exponential_array(z: np.ndarray, q: float) -> np.ndarray:
     """The scalar product loop of :func:`q_exponential`, run for all points
     at once: one pass over the factor index, vectorised across the points.
 
@@ -110,8 +101,8 @@ def _q_exponential_array(
     # a float denominator overflows to inf (value 0) exactly as the scalar
     # loop's Python floats do; numpy would only add a warning
     with np.errstate(over="ignore"):
-        for i in range(max_terms):
-            while active and mags[active - 1] < trunc_tol:
+        for i in range(DEFAULT_MAX_TERMS):
+            while active and mags[active - 1] < DEFAULT_TRUNC_TOL:
                 active -= 1
             if not active:
                 out = np.empty_like(denom)
@@ -129,7 +120,8 @@ def _q_exponential_array(
             denom[:active] *= factor
             mag *= q
     raise TruncationCapError(
-        f"e(z,q) product did not reach tolerance {trunc_tol} within {max_terms} factors"
+        f"e(z,q) product did not reach tolerance {DEFAULT_TRUNC_TOL} "
+        f"within {DEFAULT_MAX_TERMS} factors"
     )
 
 
@@ -139,13 +131,7 @@ class JvResult(NamedTuple):
     cancellation: bool
 
 
-def hahn_exton_jv_detail(
-    z: Union[float, np.ndarray],
-    q_base: float,
-    v: float,
-    trunc_tol: float = DEFAULT_TRUNC_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> JvResult:
+def hahn_exton_jv_detail(z: Union[float, np.ndarray], q_base: float, v: float) -> JvResult:
     """Normalized Hahn-Exton q-Bessel function, with summation diagnostics.
 
     j_v(z, q) = sum_{n>=0} (-1)^n q^{n(n+1)/2} z^{2n} / ((q;q)_n (q^{v+1};q)_n).
@@ -169,8 +155,8 @@ def hahn_exton_jv_detail(
     z2 = zs * zs
     qv1 = q_base ** (v + 1.0)
     # factors (q;q)_inf, (q^{v+1};q)_inf bound the denominators from below
-    pq_inf = abs(q_pochhammer_infinite(q_base, q_base, trunc_tol, max_terms))
-    pv_inf = abs(q_pochhammer_infinite(qv1, q_base, trunc_tol, max_terms))
+    pq_inf = abs(q_pochhammer_infinite(q_base, q_base))
+    pv_inf = abs(q_pochhammer_infinite(qv1, q_base))
     denom_floor = pq_inf * pv_inf
 
     value, max_out = np.empty((2, z2.size))
@@ -187,16 +173,18 @@ def hahn_exton_jv_detail(
             total = s
             max_term = np.fmax(max_term, abs(term))  # like max(), ignores a nan term
             n += 1
-            if n >= max_terms:
+            if n >= DEFAULT_MAX_TERMS:
                 raise TruncationCapError(
-                    f"j_v series did not converge within {max_terms} terms (z={zs[live[0]]})"
+                    f"j_v series did not converge within {DEFAULT_MAX_TERMS} terms "
+                    f"(z={zs[live[0]]})"
                 )
             # term_{n} = term_{n-1} * q^n z^2 / ((1-q^n)(1-q^{v+n}))
             qn = q_base ** n
             term *= qn * z2 / ((1.0 - qn) * (1.0 - qv1 * qn / q_base))
             # superexponential decay kicks in once q^n z^2 < 1; then the crude
             # bound q^{n(n+1)/2} z^{2n} / denom_floor controls the tail
-            done = (qn * z2 < 1.0) & (term / denom_floor < trunc_tol * (1.0 + abs(total)))
+            tail = term / denom_floor
+            done = (qn * z2 < 1.0) & (tail < DEFAULT_TRUNC_TOL * (1.0 + abs(total)))
             if done.any():
                 value[live[done]] = total[done] + comp[done]
                 max_out[live[done]] = max_term[done]
@@ -211,15 +199,9 @@ def hahn_exton_jv_detail(
     return JvResult(*(a.item() for a in res)) if np.ndim(z) == 0 else res
 
 
-def hahn_exton_jv(
-    z: float,
-    q_base: float,
-    v: float,
-    trunc_tol: float = DEFAULT_TRUNC_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> float:
+def hahn_exton_jv(z: float, q_base: float, v: float) -> float:
     """Value-only wrapper around :func:`hahn_exton_jv_detail`."""
-    return hahn_exton_jv_detail(z, q_base, v, trunc_tol, max_terms).value
+    return hahn_exton_jv_detail(z, q_base, v).value
 
 
 @dataclass(frozen=True)
@@ -394,14 +376,12 @@ class FunctionDiagnostics:
     bounded_below_tol: bool
 
 
-def vanishing_and_bounded_diagnostics(
-    f: LatticeFunction, tol: float = 1e-8
-) -> FunctionDiagnostics:
+def vanishing_and_bounded_diagnostics(f: LatticeFunction) -> FunctionDiagnostics:
     """Window heuristics for membership in the vanishing/bounded classes.
 
     x -> infinity corresponds to the n_min end of the window.  The vanishing
     flag requires the last five magnitudes toward that end to be monotone
-    decreasing (outward) and below tol.
+    decreasing (outward) and below 1e-8.
     """
     mags = np.abs(f.values)
     sup = float(mags.max()) if mags.size else 0.0
@@ -409,7 +389,7 @@ def vanishing_and_bounded_diagnostics(
     edge = mags[:k]  # ordered from the outermost (largest x) point inward
     vanish = bool(
         k > 0
-        and np.all(edge < tol)
+        and np.all(edge < 1e-8)
         and np.all(np.diff(edge) >= 0.0)  # grows moving inward = decays outward
     )
     return FunctionDiagnostics(

@@ -13,11 +13,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .qlattice import LatticeFunction, QLattice, QParams, q_exponential
+from .qlattice import LatticeFunction, QLattice, QParams
 from .transform import (
     TransformTable,
     build_transform_table,
-    clean_inversion_range,
     fourier_transform,
     interior_slice,
     verify_inversion,
@@ -46,6 +45,7 @@ from .positivity import (
     verify_transform_positive_type,
     wiener_membership,
 )
+from .testfunctions import gaussian_density, nonneg_density, random_compact, random_measure_weights
 
 _SEED = 12345
 
@@ -74,52 +74,12 @@ class VerificationSuiteResult:
         return all(e.status in ("pass", "skip") for e in self.entries)
 
 
-def _random_compact(lattice: QLattice, rng: np.random.Generator) -> LatticeFunction:
-    """Random function supported on a random clean sub-window.
-
-    The window inverts a lattice point q^n only when the transform variable
-    reaches exponent about -n, so draws keep their support inside the
-    cleanly invertible exponent range.
-    """
-    lo_n, hi_n = clean_inversion_range(lattice)
-    lo = int(rng.integers(lattice.index_of(lo_n), lattice.index_of(hi_n) - 1))
-    hi = int(rng.integers(lo + 1, lattice.index_of(hi_n) + 1))
-    vals = np.zeros(lattice.size)
-    vals[lo : hi + 1] = rng.uniform(-1.0, 1.0, hi - lo + 1)
-    return LatticeFunction(lattice, vals)
-
-
-def _nonneg_density(lattice: QLattice, rng: np.random.Generator) -> LatticeFunction:
-    f = _random_compact(lattice, rng)
-    vals = np.abs(f.values)
-    return LatticeFunction(lattice, vals)
-
-
-def _random_measure_weights(lattice: QLattice, rng: np.random.Generator) -> np.ndarray:
-    """Nonnegative weights supported on exponents in [-2, 12]."""
-    lo_n, hi_n = clean_inversion_range(lattice)
-    lo = lattice.index_of(max(-2, lo_n))
-    hi = lattice.index_of(hi_n)
-    w = np.zeros(lattice.size)
-    w[lo : hi + 1] = rng.uniform(0.0, 1.0, hi - lo + 1)
-    return w
-
-
 def _positive_type_function(
     table: TransformTable, rng: np.random.Generator
 ) -> LatticeFunction:
     """phi = F(nonnegative density): positive type by construction."""
-    rho = _nonneg_density(table.lattice, rng)
+    rho = nonneg_density(table.lattice, rng)
     return fourier_transform(rho, table)
-
-
-def _gaussian_density(table: TransformTable, width_exp: int = 0) -> LatticeFunction:
-    params = table.params
-    q2 = params.q ** 2
-    t = params.q ** (2 * width_exp)
-    x = table.lattice.points
-    vals = q_exponential(-t * x * x, q2).real
-    return LatticeFunction(table.lattice, vals, value_at_zero=1.0)
 
 
 CheckFn = Callable[[TransformTable, float], Tuple[float, str]]
@@ -160,7 +120,7 @@ def _registry() -> List[Tuple[str, float, CheckFn]]:
         rng = np.random.default_rng(_SEED)
         worst = 0.0
         for _ in range(20):
-            rep = verify_inversion(_random_compact(table.lattice, rng), table)
+            rep = verify_inversion(random_compact(table.lattice, rng), table)
             worst = max(worst, rep.max_interior_error)
         return worst, "20 random compact draws, interior sup error"
 
@@ -168,7 +128,7 @@ def _registry() -> List[Tuple[str, float, CheckFn]]:
         rng = np.random.default_rng(_SEED + 1)
         worst = 0.0
         for _ in range(20):
-            rep = verify_plancherel(_random_compact(table.lattice, rng), table)
+            rep = verify_plancherel(random_compact(table.lattice, rng), table)
             worst = max(worst, rep.error)
         return worst, "20 random compact draws, relative norm error"
 
@@ -176,14 +136,14 @@ def _registry() -> List[Tuple[str, float, CheckFn]]:
         rng = np.random.default_rng(_SEED + 2)
         worst = 0.0
         for _ in range(20):
-            rep = verify_l1_bound(_random_compact(table.lattice, rng), table)
+            rep = verify_l1_bound(random_compact(table.lattice, rng), table)
             worst = max(worst, rep.sup_transform / rep.bound - 1.0)
         return max(worst, 0.0), "max relative excess of sup|Ff| over B ||f||_1"
 
     def prop4(table: TransformTable, tol: float) -> Tuple[float, str]:
         rng = np.random.default_rng(_SEED + 3)
         lat = table.lattice
-        draws = [_random_compact(lat, rng) for _ in range(5)]
+        draws = [random_compact(lat, rng) for _ in range(5)]
         values = np.stack([f.values for f in draws], axis=1)
         scales = np.maximum(np.abs(values).max(axis=0), 1e-300)
         worst = 0.0
@@ -201,8 +161,8 @@ def _registry() -> List[Tuple[str, float, CheckFn]]:
         worst = 0.0
         sl = interior_slice(table.lattice)
         for _ in range(5):
-            f = _random_compact(table.lattice, rng)
-            g = _random_compact(table.lattice, rng)
+            f = random_compact(table.lattice, rng)
+            g = random_compact(table.lattice, rng)
             spec = convolution(f, g, table, route="spectral")
             direct = convolution(f, g, table, route="direct")
             scale = max(float(np.abs(spec.values).max()), 1e-300)
@@ -212,7 +172,7 @@ def _registry() -> List[Tuple[str, float, CheckFn]]:
         return worst, "spectral vs direct convolution, 5 pairs, interior"
 
     def prop6_kernel(table: TransformTable, tol: float) -> Tuple[float, str]:
-        gauss_in = _gaussian_density(table)
+        gauss_in = gaussian_density(table)
         ff = fourier_transform(gauss_in, table)
         target = gauss_kernel_function(1.0, table.params, table.lattice)
         sl = interior_slice(table.lattice, 0.8)
@@ -241,8 +201,8 @@ def _registry() -> List[Tuple[str, float, CheckFn]]:
 
     def thm2(table: TransformTable, tol: float) -> Tuple[float, str]:
         rng = np.random.default_rng(_SEED + 5)
-        f = _random_compact(table.lattice, rng)
-        g = _random_compact(table.lattice, rng)
+        f = random_compact(table.lattice, rng)
+        g = random_compact(table.lattice, rng)
         bad = 0.0
         for p, pp in ((4.0 / 3.0, 4.0 / 3.0), (1.2, 1.5), (2.0, 1.01)):
             try:
@@ -269,7 +229,7 @@ def _registry() -> List[Tuple[str, float, CheckFn]]:
         rng = np.random.default_rng(_SEED + 7)
         worst = 0.0
         for _ in range(3):
-            sigma = _nonneg_density(table.lattice, rng)
+            sigma = nonneg_density(table.lattice, rng)
             u = fourier_transform(sigma, table)
             phi = LatticeFunction(
                 table.lattice,
@@ -286,7 +246,7 @@ def _registry() -> List[Tuple[str, float, CheckFn]]:
         worst = 0.0
         for _ in range(5):
             phi = _positive_type_function(table, rng)
-            f = _random_compact(table.lattice, rng)
+            f = random_compact(table.lattice, rng)
             rep = verify_quadratic_form_positivity(phi, f, table, tol)
             worst = max(worst, max(0.0, -rep.value.real / rep.scale))
         return worst, "negativity defect of <phi*f, f>"
@@ -304,7 +264,7 @@ def _registry() -> List[Tuple[str, float, CheckFn]]:
         rng = np.random.default_rng(_SEED + 10)
         worst = 0.0
         for _ in range(5):
-            rho = _nonneg_density(table.lattice, rng)
+            rho = nonneg_density(table.lattice, rng)
             phi = fourier_transform(rho, table)
             rep = verify_l1_spectrum_mass(phi, table)
             worst = max(worst, rep.max_relative_error)
@@ -325,7 +285,7 @@ def _registry() -> List[Tuple[str, float, CheckFn]]:
         worst = 0.0
         for _ in range(3):
             phi = _positive_type_function(table, rng)
-            f = _nonneg_density(table.lattice, rng)
+            f = nonneg_density(table.lattice, rng)
             rep = product_positive_type_check(phi, f, table, tol)
             for v in rep.verdicts:
                 worst = max(worst, max(0.0, -v.min_eigenvalue / v.scale))
@@ -349,13 +309,13 @@ def _registry() -> List[Tuple[str, float, CheckFn]]:
         rng = np.random.default_rng(_SEED + 14)
         worst = 0.0
         for _ in range(2):
-            xi = QMeasure(table.lattice, _random_measure_weights(table.lattice, rng))
-            rho = QMeasure(table.lattice, _random_measure_weights(table.lattice, rng))
+            xi = QMeasure(table.lattice, random_measure_weights(table.lattice, rng))
+            rho = QMeasure(table.lattice, random_measure_weights(table.lattice, rng))
             worst = max(worst, measure_product_identity_error(xi, rho, table))
         return worst, "F(xi * rho) against F(xi) F(rho)"
 
     def thm4(table: TransformTable, tol: float) -> Tuple[float, str]:
-        rho = _gaussian_density(table, width_exp=1)
+        rho = gaussian_density(table, width_exp=1)
         phi = fourier_transform(rho, table)
         phi = LatticeFunction(
             table.lattice, phi.values, value_at_zero=phi.value_at_zero

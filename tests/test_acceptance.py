@@ -41,11 +41,11 @@ from qharm import (
 from qharm.operators import convolution
 from qharm.positivity import bochner_reconstruct
 from qharm.transform import interior_slice
-from qharm.verify import (
-    _gaussian_density,
-    _nonneg_density,
-    _random_compact,
-    _random_measure_weights,
+from qharm.testfunctions import (
+    gaussian_density,
+    nonneg_density,
+    random_compact,
+    random_measure_weights,
 )
 
 from conftest import REGIMES, get_table
@@ -104,7 +104,7 @@ def test_criterion_03_inversion_and_plancherel():
     for regime in REGIMES:
         table = get_table(*regime)
         for _ in range(25):
-            f = _random_compact(table.lattice, rng)
+            f = random_compact(table.lattice, rng)
             worst_inv = max(worst_inv, verify_inversion(f, table).max_interior_error)
             worst_plan = max(worst_plan, verify_plancherel(f, table).error)
     elapsed = time.perf_counter() - t0
@@ -124,7 +124,7 @@ def test_criterion_04_transform_bound():
     for regime in REGIMES:
         table = get_table(*regime)
         for _ in range(25):
-            rep = verify_l1_bound(_random_compact(table.lattice, rng), table)
+            rep = verify_l1_bound(random_compact(table.lattice, rng), table)
             worst = max(worst, rep.sup_transform / rep.bound - 1.0)
     ok = worst <= 1e-9
     _report(
@@ -142,7 +142,7 @@ def test_criterion_05_translation_routes():
     for regime in REGIMES:
         table = get_table(*regime)
         for _ in range(5):  # 5 per regime, 20 functions total
-            f = _random_compact(table.lattice, rng)
+            f = random_compact(table.lattice, rng)
             scale = max(float(np.abs(f.values).max()), 1e-300)
             for x in points:
                 a = translation(f, x, table)
@@ -165,8 +165,8 @@ def test_criterion_06_convolution_and_measure_product():
         table = get_table(*regime)
         sl = interior_slice(table.lattice)
         for _ in range(5):  # 5 pairs per regime, 20 pairs total
-            f = _random_compact(table.lattice, rng)
-            g = _random_compact(table.lattice, rng)
+            f = random_compact(table.lattice, rng)
+            g = random_compact(table.lattice, rng)
             spec = convolution(f, g, table, route="spectral")
             direct = convolution(f, g, table, route="direct")
             scale = max(float(np.abs(spec.values).max()), 1e-300)
@@ -175,8 +175,8 @@ def test_criterion_06_convolution_and_measure_product():
                 float(np.abs(spec.values[sl] - direct.values[sl]).max()) / scale,
             )
         for _ in range(2):
-            xi = QMeasure(table.lattice, _random_measure_weights(table.lattice, rng))
-            rho = QMeasure(table.lattice, _random_measure_weights(table.lattice, rng))
+            xi = QMeasure(table.lattice, random_measure_weights(table.lattice, rng))
+            rho = QMeasure(table.lattice, random_measure_weights(table.lattice, rng))
             worst_meas = max(
                 worst_meas, measure_product_identity_error(xi, rho, table)
             )
@@ -196,7 +196,7 @@ def test_criterion_07_gauss_kernel_and_delta_limit():
         table = get_table(*regime)
         params, lat = table.params, table.lattice
         q = params.q
-        ff = fourier_transform(_gaussian_density(table, width_exp=0), table)
+        ff = fourier_transform(gaussian_density(table, width_exp=0), table)
         target = gauss_kernel_function(1.0, params, lat)
         worst_kernel = max(
             worst_kernel, float(np.abs(ff.values - target.values).max())
@@ -247,7 +247,7 @@ def test_criterion_08_positive_type_battery():
         table = get_table(*regime)
         phis = []
         for _ in range(count):
-            rho = _nonneg_density(table.lattice, rng)
+            rho = nonneg_density(table.lattice, rng)
             phi = fourier_transform(rho, table)
             phis.append(phi)
             v = is_q_positive_type(phi, None, table)
@@ -284,7 +284,7 @@ def test_criterion_08_positive_type_battery():
 def _bochner_densities(table):
     """Gaussian-type, indicator and point-mass densities on the window."""
     lat = table.lattice
-    out = [_gaussian_density(table, width_exp=w) for w in (0, 1, 2)]
+    out = [gaussian_density(table, width_exp=w) for w in (0, 1, 2)]
     # compactly supported densities keep their support at small exponents:
     # zeroing the cutoff phi_n below exponent -n discards terms of size
     # q^{(n - k)^2} for a density reaching exponent k, and that error is only

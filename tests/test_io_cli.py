@@ -15,7 +15,7 @@ from qharm import (
     save_lattice_function,
 )
 from qharm.cli import main
-from qharm.verify import _random_compact
+from qharm.testfunctions import gaussian_density, nonneg_density, random_compact
 
 
 def roundtrip(f, q):
@@ -101,7 +101,7 @@ class TestCSV:
 @pytest.fixture
 def compact_csv(tmp_path, rng):
     lat = QLattice(0.5, -20, 60)
-    f = _random_compact(lat, rng)
+    f = random_compact(lat, rng)
     path = str(tmp_path / "in.csv")
     save_lattice_function(f, path)
     return path, f
@@ -193,7 +193,7 @@ class TestCLITransform:
     def test_convolve_routes_agree(self, compact_csv, tmp_path, rng):
         path, f = compact_csv
         other = str(tmp_path / "g.csv")
-        save_lattice_function(_random_compact(f.lattice, rng), other)
+        save_lattice_function(random_compact(f.lattice, rng), other)
         o1, o2 = str(tmp_path / "s.csv"), str(tmp_path / "d.csv")
         assert main(["convolve", path, other, "--route", "spectral", "--output", o1]) == 0
         assert main(["convolve", path, other, "--route", "direct", "--output", o2]) == 0
@@ -224,11 +224,10 @@ class TestCLIJudgements:
     def test_positivity_positive_verdict(self, tmp_path, capsys, rng):
         from qharm import build_transform_table, fourier_transform
         from qharm.qlattice import QParams
-        from qharm.verify import _nonneg_density
 
         lat = QLattice(0.5, -20, 60)
         table = build_transform_table(QParams(q=0.5), lat)
-        phi = fourier_transform(_nonneg_density(lat, rng), table)
+        phi = fourier_transform(nonneg_density(lat, rng), table)
         path = str(tmp_path / "phi.csv")
         save_lattice_function(phi, path)
         assert main(["positivity", path]) == 0
@@ -260,11 +259,10 @@ class TestCLIJudgements:
     def test_bochner_gaussian(self, tmp_path, capsys):
         from qharm import build_transform_table, fourier_transform
         from qharm.qlattice import QParams
-        from qharm.verify import _gaussian_density
 
         lat = QLattice(0.5, -20, 60)
         table = build_transform_table(QParams(q=0.5), lat)
-        phi = fourier_transform(_gaussian_density(table, width_exp=1), table)
+        phi = fourier_transform(gaussian_density(table, width_exp=1), table)
         path = str(tmp_path / "phi.csv")
         out = str(tmp_path / "measure.csv")
         save_lattice_function(phi, path)
@@ -273,6 +271,60 @@ class TestCLIJudgements:
         assert payload["accepted"] is True
         recovered = load_lattice_function(out, 0.5)
         assert np.all(np.real(recovered.values) >= -1e-12)
+
+
+# options each subcommand used to accept without reading them
+_DROPPED_OPTIONS = [
+    (cmd, opt)
+    for cmds, opts in (
+        (("eval", "transform", "convolve"), ("--nmin", "--nmax", "--tol")),
+        (("positivity", "bochner"), ("--nmin", "--nmax")),
+    )
+    for cmd in cmds
+    for opt in opts
+]
+
+
+@pytest.fixture
+def phi_csv(tmp_path):
+    """A positive-type function with its origin row, valid input for every
+    subcommand that reads a CSV."""
+    from qharm import build_transform_table, fourier_transform
+    from qharm.qlattice import QParams
+
+    table = build_transform_table(QParams(q=0.5), QLattice(0.5, -20, 60))
+    path = str(tmp_path / "phi.csv")
+    save_lattice_function(fourier_transform(gaussian_density(table, width_exp=1), table), path)
+    return path
+
+
+class TestCLIOptions:
+    @pytest.mark.parametrize("command, option", _DROPPED_OPTIONS)
+    def test_unread_option_is_refused(self, command, option, phi_csv, capsys):
+        head = {
+            "eval": ["eval", "c_qv"],
+            "transform": ["transform", phi_csv],
+            "convolve": ["convolve", phi_csv, phi_csv],
+            "positivity": ["positivity", phi_csv],
+            "bochner": ["bochner", phi_csv],
+        }[command]
+        value = {"--nmin": "-5", "--nmax": "5", "--tol": "1e-3"}[option]
+        with pytest.raises(SystemExit) as exc:
+            main(head + [option, value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_tolerance_defaults_are_the_library_defaults(self, phi_csv, capsys):
+        from qharm.operators import DEFAULT_PROBE_TOL
+        from qharm.positivity import DEFAULT_PSD_TOL
+
+        assert main(["positivity", phi_csv]) == 0
+        out = capsys.readouterr().out
+        assert '"tolerance": 1e-09' in out
+        assert json.loads(out)["tolerance"] == DEFAULT_PSD_TOL
+        assert main(["probe-qv", "--q", "0.5"]) == 0
+        verdict = json.loads(capsys.readouterr().out)["verdict"]
+        assert verdict == f"no negativity detected at tolerance -{DEFAULT_PROBE_TOL:g}"
 
 
 class TestCLIVerify:

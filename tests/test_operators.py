@@ -20,13 +20,13 @@ from qharm import (
 )
 from qharm.operators import translation_kernel_matrix
 from qharm.transform import interior_slice
-from qharm.verify import _random_compact
+from qharm.testfunctions import random_compact
 
 
 class TestTranslation:
     def test_routes_agree(self, regime_table, rng):
         for _ in range(3):
-            f = _random_compact(regime_table.lattice, rng)
+            f = random_compact(regime_table.lattice, rng)
             for x in (-2, 0, 4):
                 a = translation(f, x, regime_table)
                 b = translation_via_kernel(f, x, regime_table)
@@ -69,8 +69,8 @@ class TestTranslation:
 
 class TestConvolution:
     def test_routes_agree_on_interior(self, regime_table, rng):
-        f = _random_compact(regime_table.lattice, rng)
-        g = _random_compact(regime_table.lattice, rng)
+        f = random_compact(regime_table.lattice, rng)
+        g = random_compact(regime_table.lattice, rng)
         spec = convolution(f, g, regime_table, route="spectral")
         direct = convolution(f, g, regime_table, route="direct")
         sl = interior_slice(regime_table.lattice)
@@ -80,8 +80,8 @@ class TestConvolution:
     def test_direct_route_matches_translation_loop(self, regime_table, rng):
         table = regime_table
         params, w = table.params, table.weights
-        f = _random_compact(table.lattice, rng)
-        g = _random_compact(table.lattice, rng)
+        f = random_compact(table.lattice, rng)
+        g = random_compact(table.lattice, rng)
         expect = np.array(
             [
                 params.c_qv
@@ -94,15 +94,15 @@ class TestConvolution:
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
     def test_commutative(self, table05, rng):
-        f = _random_compact(table05.lattice, rng)
-        g = _random_compact(table05.lattice, rng)
+        f = random_compact(table05.lattice, rng)
+        g = random_compact(table05.lattice, rng)
         fg = convolution(f, g, table05)
         gf = convolution(g, f, table05)
         np.testing.assert_allclose(fg.values, gf.values, rtol=1e-12, atol=1e-16)
 
     def test_transform_factorizes(self, table05, rng):
-        f = _random_compact(table05.lattice, rng)
-        g = _random_compact(table05.lattice, rng)
+        f = random_compact(table05.lattice, rng)
+        g = random_compact(table05.lattice, rng)
         conv = convolution(f, g, table05)
         lhs = fourier_transform(conv, table05).values
         rhs = fourier_transform(f, table05).values * fourier_transform(g, table05).values
@@ -110,20 +110,20 @@ class TestConvolution:
         assert np.abs(lhs[sl] - rhs[sl]).max() < 1e-10
 
     def test_unknown_route(self, table05, rng):
-        f = _random_compact(table05.lattice, rng)
+        f = random_compact(table05.lattice, rng)
         with pytest.raises(ValueError):
             convolution(f, f, table05, route="fft")
 
     def test_young_exponent_validation(self, table05, rng):
-        f = _random_compact(table05.lattice, rng)
+        f = random_compact(table05.lattice, rng)
         with pytest.raises(ValueError):
             young_inequality_check(f, f, 3.0, 2.0, table05)
         with pytest.raises(ValueError):
             young_inequality_check(f, f, 2.0, 2.0, table05)  # 1/r = 0
 
     def test_young_norm_finite(self, table05, rng):
-        f = _random_compact(table05.lattice, rng)
-        g = _random_compact(table05.lattice, rng)
+        f = random_compact(table05.lattice, rng)
+        g = random_compact(table05.lattice, rng)
         rep = young_inequality_check(f, g, 4.0 / 3.0, 4.0 / 3.0, table05)
         assert rep.r == pytest.approx(2.0)
         assert rep.finite

@@ -25,16 +25,16 @@ from qharm import (
 import qharm.positivity
 from qharm.positivity import DEFAULT_PSD_TOL, default_point_exponents
 from qharm.transform import interior_slice
-from qharm.verify import (
-    _gaussian_density,
-    _nonneg_density,
-    _random_compact,
-    _random_measure_weights,
+from qharm.testfunctions import (
+    gaussian_density,
+    nonneg_density,
+    random_compact,
+    random_measure_weights,
 )
 
 
 def positive_type_fn(table, rng):
-    rho = _nonneg_density(table.lattice, rng)
+    rho = nonneg_density(table.lattice, rng)
     return fourier_transform(rho, table)
 
 
@@ -79,7 +79,7 @@ class TestGram:
 
 class TestPositivityBattery:
     def test_transform_positive_type_for_squared(self, table05, rng):
-        sigma = _nonneg_density(table05.lattice, rng)
+        sigma = nonneg_density(table05.lattice, rng)
         u = fourier_transform(sigma, table05)
         phi = LatticeFunction(
             table05.lattice, u.values ** 2, value_at_zero=complex(u.value_at_zero) ** 2
@@ -99,7 +99,7 @@ class TestPositivityBattery:
         assert rep.nonnegative
 
     def test_mass_equals_origin_value(self, regime_table, rng):
-        rho = _nonneg_density(regime_table.lattice, rng)
+        rho = nonneg_density(regime_table.lattice, rng)
         phi = fourier_transform(rho, regime_table)
         rep = verify_l1_spectrum_mass(phi, regime_table)
         assert rep.max_relative_error < 1e-10
@@ -117,7 +117,7 @@ class TestPositivityBattery:
 
     def test_product_positive_type(self, table05, rng):
         phi = positive_type_fn(table05, rng)
-        f = _nonneg_density(table05.lattice, rng)
+        f = nonneg_density(table05.lattice, rng)
         rep = product_positive_type_check(phi, f, table05)
         assert rep.all_positive
 
@@ -131,20 +131,20 @@ class TestMeasures:
             QMeasure(lat, np.ones(3))
 
     def test_transform_origin_is_total_mass(self, table05, rng):
-        xi = QMeasure(table05.lattice, _random_measure_weights(table05.lattice, rng))
+        xi = QMeasure(table05.lattice, random_measure_weights(table05.lattice, rng))
         ft = measure_fourier_transform(xi, table05)
         assert ft.value_at_zero == pytest.approx(xi.total_mass_v(table05.params), rel=1e-14)
 
     def test_product_identity(self, regime_table, rng):
-        xi = QMeasure(regime_table.lattice, _random_measure_weights(regime_table.lattice, rng))
-        rho = QMeasure(regime_table.lattice, _random_measure_weights(regime_table.lattice, rng))
+        xi = QMeasure(regime_table.lattice, random_measure_weights(regime_table.lattice, rng))
+        rho = QMeasure(regime_table.lattice, random_measure_weights(regime_table.lattice, rng))
         assert measure_product_identity_error(xi, rho, regime_table) < 1e-8
 
     def test_convolution_matches_translation_loop(self, regime_table, rng):
         table = regime_table
         lat, q, w = table.lattice, table.params.q, table.weights
-        xi = QMeasure(lat, _random_measure_weights(lat, rng))
-        rho = QMeasure(lat, _random_measure_weights(lat, rng))
+        xi = QMeasure(lat, random_measure_weights(lat, rng))
+        rho = QMeasure(lat, random_measure_weights(lat, rng))
         f = LatticeFunction(lat, table.jv_row(2).copy())
         total, abs_total = 0.0, 0.0
         for i, n in enumerate(lat.indices):
@@ -159,8 +159,8 @@ class TestMeasures:
         assert scale == pytest.approx(abs_total, rel=1e-13)
 
     def test_convolution_scale_output(self, table05, rng):
-        xi = QMeasure(table05.lattice, _random_measure_weights(table05.lattice, rng))
-        rho = QMeasure(table05.lattice, _random_measure_weights(table05.lattice, rng))
+        xi = QMeasure(table05.lattice, random_measure_weights(table05.lattice, rng))
+        rho = QMeasure(table05.lattice, random_measure_weights(table05.lattice, rng))
         probe = LatticeFunction(table05.lattice, table05.jv_row(2).copy())
         val, scale = measure_convolution(xi, rho, probe, table05, with_scale=True)
         assert scale >= abs(val) * (1.0 - 1e-12)
@@ -178,7 +178,7 @@ class TestBochner:
         assert cut.at_index(5) == pytest.approx(1.0 - 0.5 ** 8)
 
     def test_gaussian_roundtrip(self, regime_table):
-        rho = _gaussian_density(regime_table, width_exp=1)
+        rho = gaussian_density(regime_table, width_exp=1)
         phi = fourier_transform(rho, regime_table)
         rep = bochner_reconstruct(phi, range(1, 11), regime_table)
         assert rep.accepted
@@ -188,7 +188,7 @@ class TestBochner:
         assert np.abs(recon[sl] - rho.values[sl]).max() < 1e-6
 
     def test_mass_tends_to_origin_value(self, table05):
-        rho = _gaussian_density(table05, width_exp=0)
+        rho = gaussian_density(table05, width_exp=0)
         phi = fourier_transform(rho, table05)
         rep = bochner_reconstruct(phi, range(1, 11), table05)
         masses = [lev.mass for lev in rep.levels]
@@ -215,7 +215,7 @@ class TestBochner:
             bochner_reconstruct(phi, [1, 2], table05)
 
     def test_needs_two_levels(self, table05):
-        rho = _gaussian_density(table05)
+        rho = gaussian_density(table05)
         phi = fourier_transform(rho, table05)
         with pytest.raises(ValueError):
             bochner_reconstruct(phi, [3], table05)
@@ -261,7 +261,7 @@ class TestSpectralRoute:
         return calls
 
     def test_bochner_transforms_once_per_level(self, table05, count_transforms):
-        phi = fourier_transform(_gaussian_density(table05, width_exp=1), table05)
+        phi = fourier_transform(gaussian_density(table05, width_exp=1), table05)
         for n_levels in (2, 5, 10):
             count_transforms.clear()
             bochner_reconstruct(phi, range(1, n_levels + 1), table05)
@@ -269,7 +269,7 @@ class TestSpectralRoute:
 
     def test_sweeps_transform_twice(self, table05, rng, count_transforms):
         phi = positive_type_fn(table05, rng)
-        f = _nonneg_density(table05.lattice, rng)
+        f = nonneg_density(table05.lattice, rng)
         count_transforms.clear()
         verify_transform_positive_type(phi, table05)
         assert len(count_transforms) == 2
@@ -280,10 +280,10 @@ class TestSpectralRoute:
     def test_sweeps_match_single_grid_verdicts(self, regime_table, rng):
         lat = regime_table.lattice
         grids = _sweep_grids(regime_table)
-        f = _nonneg_density(lat, rng)
+        f = nonneg_density(lat, rng)
         ff = fourier_transform(f, regime_table)
         # a signed phi makes F phi fail: the negative verdicts carry witnesses
-        for phi in (positive_type_fn(regime_table, rng), _random_compact(lat, rng)):
+        for phi in (positive_type_fn(regime_table, rng), random_compact(lat, rng)):
             rep = verify_transform_positive_type(phi, regime_table)
             fphi = fourier_transform(phi, regime_table)
             assert len(rep.verdicts) == len(grids)
@@ -297,7 +297,7 @@ class TestSpectralRoute:
 
     def test_bochner_levels_match_single_grid_verdicts(self, regime_table):
         q = regime_table.params.q
-        phi = fourier_transform(_gaussian_density(regime_table, width_exp=1), regime_table)
+        phi = fourier_transform(gaussian_density(regime_table, width_exp=1), regime_table)
         norm_phi = LatticeFunction(
             regime_table.lattice,
             phi.values / complex(phi.value_at_zero),

@@ -103,16 +103,17 @@ class TestQExponential:
             ([0.1j, -3.0 + 1e-3j, 2.0 + 1e-3j], 10000),
         ],
     )
-    def test_array_raises_where_scalar_raises(self, zs, cap):
+    def test_array_raises_where_scalar_raises(self, zs, cap, monkeypatch):
         def outcome(fn):
             try:
                 return fn()
             except (PoleProximityError, TruncationCapError) as exc:
                 return type(exc)
 
-        scalar = [outcome(lambda: q_exponential(z, 0.5, max_terms=cap)) for z in zs]
+        monkeypatch.setattr("qharm.qlattice.DEFAULT_MAX_TERMS", cap)
+        scalar = [outcome(lambda: q_exponential(z, 0.5)) for z in zs]
         errors = {s for s in scalar if isinstance(s, type)}
-        got = outcome(lambda: q_exponential(np.array(zs), 0.5, max_terms=cap))
+        got = outcome(lambda: q_exponential(np.array(zs), 0.5))
         if errors:
             assert got in errors
         else:

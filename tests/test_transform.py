@@ -16,7 +16,7 @@ from qharm import (
 )
 from qharm.errors import LatticeMismatchError
 from qharm.transform import clean_inversion_range, interior_slice
-from qharm.verify import _random_compact
+from qharm.testfunctions import random_compact
 
 
 class TestTableConstruction:
@@ -74,8 +74,8 @@ class TestTransform:
             fourier_transform(f, table05)
 
     def test_linearity(self, regime_table, rng):
-        f = _random_compact(regime_table.lattice, rng)
-        g = _random_compact(regime_table.lattice, rng)
+        f = random_compact(regime_table.lattice, rng)
+        g = random_compact(regime_table.lattice, rng)
         combo = LatticeFunction(regime_table.lattice, 2.0 * f.values - 3.0 * g.values)
         lhs = fourier_transform(combo, regime_table).values
         rhs = (
@@ -90,7 +90,7 @@ class TestTransform:
         assert res.edge_warning  # constant input truncates visibly at x->inf
 
     def test_no_edge_warning_for_compact_input(self, table05, rng):
-        f = _random_compact(table05.lattice, rng)
+        f = random_compact(table05.lattice, rng)
         res = fourier_transform_detail(f, table05)
         assert not res.edge_warning
 
@@ -114,19 +114,19 @@ class TestIdentities:
 
     def test_inversion_on_clean_draw(self, regime_table, rng):
         for _ in range(5):
-            f = _random_compact(regime_table.lattice, rng)
+            f = random_compact(regime_table.lattice, rng)
             rep = verify_inversion(f, regime_table)
             assert rep.max_interior_error < 1e-10
 
     def test_plancherel(self, regime_table, rng):
         for _ in range(5):
-            f = _random_compact(regime_table.lattice, rng)
+            f = random_compact(regime_table.lattice, rng)
             rep = verify_plancherel(f, regime_table)
             assert rep.error < 1e-10
 
     def test_l1_bound(self, regime_table, rng):
         for _ in range(5):
-            rep = verify_l1_bound(_random_compact(regime_table.lattice, rng), regime_table)
+            rep = verify_l1_bound(random_compact(regime_table.lattice, rng), regime_table)
             assert rep.holds
 
     def test_delta_weight(self):
