@@ -93,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--points",
         type=str,
         default=None,
-        help="comma-separated lattice exponents for the Gram grid",
+        help="comma-separated lattice exponents for the Gram grid; a list that starts "
+        "with a negative exponent needs the = form, e.g. --points=-2,0,3",
     )
     _add_common(p_pos, tol=DEFAULT_PSD_TOL, tol_help="PSD tolerance of the Gram test")
 
@@ -150,11 +151,11 @@ def _cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     elif name == "qexp":
         if args.z is None:
             parser.error("eval qexp requires --z")
-        val = q_exponential(args.z, args.qbase if args.qbase else args.q)
+        val = q_exponential(args.z, args.q if args.qbase is None else args.qbase)
     elif name == "jv":
         if args.z is None:
             parser.error("eval jv requires --z")
-        qbase = args.qbase if args.qbase else args.q ** 2
+        qbase = args.q ** 2 if args.qbase is None else args.qbase
         val = hahn_exton_jv_stable(args.z, qbase, args.v)
     elif name == "gauss_kernel":
         if args.x is None:

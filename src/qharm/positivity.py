@@ -8,7 +8,7 @@ with the violating coefficient vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -63,7 +63,10 @@ def gram_matrix(
 def _spectral_gram(
     spectrum: np.ndarray, point_exponents: Sequence[int], table: TransformTable
 ) -> GramMatrix:
-    """The Gram matrix as a quadratic form in the spectrum F phi."""
+    """The Gram matrix as a quadratic form in the spectrum F phi.
+
+    A stack of spectra (..., N) gives the stack of Gram matrices (..., P, P).
+    """
     pts = list(point_exponents)
     if len(set(pts)) != len(pts):
         raise ValueError("gram points must be distinct")
@@ -71,8 +74,14 @@ def _spectral_gram(
         table.lattice.index_of(n)  # bounds check
     params = table.params
     rows = table.rows(pts)
-    diag = params.c_qv * (1.0 - params.q) * table.weights * spectrum
-    entries = (rows * diag) @ rows.T
+    scale = params.c_qv * (1.0 - params.q) * table.weights
+    flat = spectrum.reshape(-1, spectrum.shape[-1])
+    entries = np.empty((len(flat), len(pts), len(pts)), np.result_type(rows, spectrum))
+    for i, row in enumerate(flat):
+        # one product per matrix: a stacked product would materialise an
+        # (..., P, N) temporary and raise the peak memory of long level lists
+        entries[i] = (rows * (scale * row)) @ rows.T
+    entries = entries.reshape(spectrum.shape[:-1] + entries.shape[1:])
     return GramMatrix(point_exponents=pts, entries=entries)
 
 
@@ -107,26 +116,41 @@ def _spectral_verdict(
     spectrum: np.ndarray,
     point_exponents: Optional[Sequence[int]],
     table: TransformTable,
-    tol: float,
-) -> PositivityVerdict:
-    """The PSD verdict of :func:`is_q_positive_type` from the spectrum F phi."""
+    tol: Union[float, Sequence[float]],
+) -> Union[PositivityVerdict, List[PositivityVerdict]]:
+    """The PSD verdict of :func:`is_q_positive_type` from the spectrum F phi.
+
+    A stack of spectra (L, N), with one tolerance per row or one for all,
+    gives the list of L verdicts from one stacked ``eigh``; each equals the
+    verdict of its row alone, bit for bit.
+    """
     if point_exponents is None:
         point_exponents = default_point_exponents(table)
     g = _spectral_gram(spectrum, point_exponents, table)
-    herm = 0.5 * (g.entries + g.entries.conj().T)
+    herm = 0.5 * (g.entries + np.swapaxes(g.entries.conj(), -1, -2))
     vals, vecs = np.linalg.eigh(herm)
-    lam = float(vals[0])
-    scale = max(1.0, float(np.abs(g.entries).max()))
-    ok = lam >= -tol * scale
-    witness = None if ok else vecs[:, 0]
-    return PositivityVerdict(
-        positive=bool(ok),
-        min_eigenvalue=lam,
-        scale=scale,
-        tolerance=tol,
-        witness=witness,
-        point_exponents=tuple(g.point_exponents),
-    )
+    lam = vals[..., 0]
+    scale = np.maximum(1.0, np.abs(g.entries).max(axis=(-2, -1)))
+    tols = np.full(lam.shape, tol)
+    ok = lam >= -tols * scale
+    verdicts = [
+        PositivityVerdict(
+            positive=positive,
+            min_eigenvalue=lam_i,
+            scale=scale_i,
+            tolerance=tol_i,
+            witness=None if positive else vecs_i[:, 0],
+            point_exponents=tuple(g.point_exponents),
+        )
+        for positive, lam_i, scale_i, tol_i, vecs_i in zip(
+            ok.reshape(-1).tolist(),
+            lam.reshape(-1).tolist(),
+            scale.reshape(-1).tolist(),
+            tols.reshape(-1).tolist(),
+            vecs.reshape(-1, *vecs.shape[-2:]),
+        )
+    ]
+    return verdicts if spectrum.ndim > 1 else verdicts[0]
 
 
 @dataclass(frozen=True)
@@ -378,13 +402,31 @@ def measure_product_identity_error(
     return worst
 
 
+def _cutoff_factors(lat: QLattice, levels) -> np.ndarray:
+    """1 - q^{n+m} for n+m >= 1, else 0: one row per level n, or one row for an int n."""
+    shifted = lat.indices + np.asarray(levels)[..., None]
+    return np.where(shifted >= 1, 1.0 - lat.q ** shifted.astype(float), 0.0)
+
+
 def bochner_cutoff(phi: LatticeFunction, n: int) -> LatticeFunction:
     """phi_n(q^m) = phi(q^m) (1 - q^{n+m}) for n+m >= 1, else 0."""
-    lat = phi.lattice
-    q = lat.q
-    ms = lat.indices
-    factor = np.where(ms + n >= 1, 1.0 - q ** (ms + n).astype(float), 0.0)
-    return LatticeFunction(lat, phi.values * factor, value_at_zero=phi.value_at_zero)
+    return LatticeFunction(
+        phi.lattice,
+        phi.values * _cutoff_factors(phi.lattice, n),
+        value_at_zero=phi.value_at_zero,
+    )
+
+
+def _matvec_rows(matrix: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """matrix @ row for every row of an (L, N) stack.
+
+    One matrix-vector product per row keeps each row bit-identical to a lone
+    ``matrix @ row``; a single matrix product over the stack is not.
+    """
+    out = np.empty((stack.shape[0], matrix.shape[0]), np.result_type(matrix, stack))
+    for i, row in enumerate(stack):
+        out[i] = matrix @ row
+    return out
 
 
 @dataclass(frozen=True)
@@ -425,6 +467,13 @@ def bochner_reconstruct(
     density-negativity tolerances carry a q^n-scaled guard; the limit
     measure, obtained by eliminating the exactly geometric q^n cutoff term
     from the last two levels, is held to the strict tolerance.
+
+    All levels are evaluated as arrays: one (L, N) cutoff stack, one cast of
+    the kernel and a matrix-vector product per row for the densities, one
+    stack of Gram matrices with one stacked ``eigh`` for the PSD checks, and
+    axis reductions for the other checks.  Each level's PSD verdict equals
+    ``is_q_positive_type`` on that cutoff with tolerance tol + 50 q^n, bit
+    for bit.  When several levels fail, the reason names the highest.
     """
     if phi.value_at_zero is None:
         raise ValueError("phi must carry value_at_zero")
@@ -434,54 +483,59 @@ def bochner_reconstruct(
     levels = sorted(int(n) for n in levels)
     if len(levels) < 2:
         raise ValueError("at least two cutoff levels are required")
+    if len(set(levels)) != len(levels):
+        raise ValueError(f"cutoff levels must be distinct, got {levels}")
     lat = table.lattice
     q = table.params.q
     c = table.params.c_qv
-    norm_phi = LatticeFunction(lat, phi.values / phi0, value_at_zero=1.0)
+    kernel = table.kernel_matrix
+    norm_phi = LatticeFunction(lat, phi.values / phi0, value_at_zero=1.0).values
     sl = interior_slice(lat)
 
-    records: List[BochnerLevel] = []
-    densities = {}
+    cutoffs = norm_phi * _cutoff_factors(lat, levels)
+    rho = _matvec_rows(kernel.astype(cutoffs.dtype), cutoffs)
+    dens = rho.real
+    if not np.all(np.isfinite(dens)):
+        raise ValueError("weights must be finite")
+    # the guard stays a Python float per level: numpy's power over an array
+    # of levels differs from q ** n in the last bit (at level 12 for q = 0.9)
+    level_tols = [tol + _CUTOFF_GUARD * q ** n for n in levels]
+    verdicts = _spectral_verdict(rho, None, table, level_tols)
+    dens_min = dens.min(axis=1)
+    clip_tol = np.array(level_tols) * np.maximum(np.abs(dens).max(axis=1), 1e-300)
+    mass = c * (1.0 - q) * np.sum(table.weights * dens, axis=1)
+    recons = _matvec_rows(kernel, np.clip(dens, 0.0, None)) / c
+    dev = np.abs(c * recons[:, sl] - norm_phi[sl]).max(axis=1)
+    records = [
+        BochnerLevel(
+            level=n,
+            psd_positive=verdicts[i].positive,
+            min_eigenvalue=verdicts[i].min_eigenvalue,
+            psd_tolerance=level_tols[i],
+            density_min=float(dens_min[i]),
+            density_clip_tolerance=float(clip_tol[i]),
+            mass=float(mass[i]),
+            transform_deviation=float(dev[i]),
+        )
+        for i, n in enumerate(levels)
+    ]
+
     accepted = True
     reason = None
-    for n in levels:
-        rho_n = fourier_transform(bochner_cutoff(norm_phi, n), table)
-        guard = _CUTOFF_GUARD * q ** n
-        verdict = _spectral_verdict(rho_n.values, None, table, tol + guard)
-        dens = rho_n.values.real
-        dens_min = float(dens.min())
-        dens_scale = max(float(np.abs(dens).max()), 1e-300)
-        clip_tol = (tol + guard) * dens_scale
-        mass = float((c * (1.0 - q) * np.sum(table.weights * dens)).real)
-        xi_n = QMeasure(lat, np.clip(dens, 0.0, None))
-        recon = measure_fourier_transform(xi_n, table)
-        dev = float(np.abs(c * recon.values[sl] - norm_phi.values[sl]).max())
-        records.append(
-            BochnerLevel(
-                level=n,
-                psd_positive=verdict.positive,
-                min_eigenvalue=verdict.min_eigenvalue,
-                psd_tolerance=tol + guard,
-                density_min=dens_min,
-                density_clip_tolerance=clip_tol,
-                mass=mass,
-                transform_deviation=dev,
-            )
-        )
-        densities[n] = dens
-        if not verdict.positive:
+    for rec in records:
+        if not rec.psd_positive:
             accepted = False
-            reason = f"PSD check failed at cutoff level {n}"
-        elif dens_min < -clip_tol:
+            reason = f"PSD check failed at cutoff level {rec.level}"
+        elif rec.density_min < -rec.density_clip_tolerance:
             accepted = False
-            reason = f"density negativity beyond tolerance at level {n}"
+            reason = f"density negativity beyond tolerance at level {rec.level}"
 
     limit = None
     recon_err = float("inf")
     if accepted:
         n1, n2 = levels[-2], levels[-1]
         ratio = q ** (n2 - n1)
-        lim = (densities[n2] - ratio * densities[n1]) / (1.0 - ratio)
+        lim = (dens[-1] - ratio * dens[-2]) / (1.0 - ratio)
         lim_scale = max(float(np.abs(lim).max()), 1e-300)
         if float(lim.min()) < -tol * lim_scale * 10.0:
             accepted = False
@@ -489,7 +543,7 @@ def bochner_reconstruct(
         else:
             limit = QMeasure(lat, np.clip(lim, 0.0, None))
             recon = measure_fourier_transform(limit, table)
-            recon_err = float(np.abs(c * recon.values[sl] - norm_phi.values[sl]).max())
+            recon_err = float(np.abs(c * recon.values[sl] - norm_phi[sl]).max())
     return BochnerReport(
         cutoff_levels=list(levels),
         levels=records,

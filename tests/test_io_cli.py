@@ -140,6 +140,15 @@ class TestCLIEval:
             q_exponential(0.25, 0.25), rel=1e-14
         )
 
+    @pytest.mark.parametrize("function", ["qexp", "jv"])
+    @pytest.mark.parametrize("qbase", ["0", "1", "1.5", "-0.5"])
+    def test_base_outside_unit_interval_is_refused(self, function, qbase, capsys):
+        # --qbase 0 is a given base, not an omitted one
+        assert main(["eval", function, "--z", "0.3", "--qbase", qbase, "--q", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must lie in (0,1)" in captured.err
+
     def test_missing_argument_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "jv"])
@@ -251,6 +260,16 @@ class TestCLIJudgements:
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdict"] == "NEGATIVE"
         assert payload["witness_coefficients"] is not None
+
+    def test_positivity_negative_points_with_equals(self, phi_csv, capsys):
+        # "--points -2,0,3" reads as a missing value; the = form is the way in
+        assert main(["positivity", phi_csv, "--points=-2,0,3"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["point_exponents"] == [-2, 0, 3]
+        assert payload["verdict"] == "POSITIVE"
+        with pytest.raises(SystemExit) as exc:
+            main(["positivity", phi_csv, "--points", "-2,0,3"])
+        assert exc.value.code == 2
 
     def test_bochner_requires_origin_row(self, compact_csv, capsys):
         path, _ = compact_csv  # written without origin row

@@ -23,8 +23,14 @@ from qharm import (
     wiener_membership,
 )
 import qharm.positivity
-from qharm.positivity import DEFAULT_PSD_TOL, default_point_exponents
+from qharm.positivity import (
+    DEFAULT_PSD_TOL,
+    BochnerLevel,
+    BochnerReport,
+    default_point_exponents,
+)
 from qharm.transform import interior_slice
+from conftest import get_table
 from qharm.testfunctions import (
     gaussian_density,
     nonneg_density,
@@ -220,6 +226,21 @@ class TestBochner:
         with pytest.raises(ValueError):
             bochner_reconstruct(phi, [3], table05)
 
+    def test_overflowing_densities_refused(self, table05):
+        # finite samples whose transform overflows: refused before the eigh
+        lat = table05.lattice
+        phi = LatticeFunction(lat, np.full(lat.size, 1e308), value_at_zero=1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="weights must be finite"):
+                bochner_reconstruct(phi, [1, 2], table05)
+
+    @pytest.mark.parametrize("levels", [[3, 3], [1, 2, 2]])
+    def test_duplicate_levels_refused(self, table05, levels):
+        # a repeated level would divide by 1 - q^0 in the limit extraction
+        phi = fourier_transform(gaussian_density(table05), table05)
+        with pytest.raises(ValueError, match="cutoff levels must be distinct"):
+            bochner_reconstruct(phi, levels, table05)
+
 
 def _sweep_grids(table):
     """The default grid, then four grids drawn from default_rng(0)."""
@@ -260,12 +281,24 @@ class TestSpectralRoute:
         monkeypatch.setattr(qharm.positivity, "fourier_transform", counted)
         return calls
 
-    def test_bochner_transforms_once_per_level(self, table05, count_transforms):
+    def test_bochner_levels_are_one_stack(self, table05, count_transforms, monkeypatch):
+        # no per-level transform and one stacked eigh, whatever the level count
+        eigh_shapes = []
+        original = np.linalg.eigh
+
+        def counted(a):
+            eigh_shapes.append(a.shape)
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
         phi = fourier_transform(gaussian_density(table05, width_exp=1), table05)
-        for n_levels in (2, 5, 10):
+        n_points = len(default_point_exponents(table05))
+        for n_levels in (2, 5, 10, 20):
             count_transforms.clear()
+            eigh_shapes.clear()
             bochner_reconstruct(phi, range(1, n_levels + 1), table05)
-            assert len(count_transforms) == n_levels
+            assert len(count_transforms) == 0
+            assert eigh_shapes == [(n_levels, n_points, n_points)]
 
     def test_sweeps_transform_twice(self, table05, rng, count_transforms):
         phi = positive_type_fn(table05, rng)
@@ -313,3 +346,86 @@ class TestSpectralRoute:
             assert lev.min_eigenvalue == want.min_eigenvalue
             assert lev.psd_positive == want.positive
             assert lev.psd_tolerance == want.tolerance
+
+
+def _reference_bochner(phi, levels, table, tol=DEFAULT_PSD_TOL):
+    """The per-level loop bochner_reconstruct replaced: a cutoff, a transform,
+    a PSD verdict and a measure transform for each level in turn."""
+    phi0 = complex(phi.value_at_zero)
+    levels = sorted(int(n) for n in levels)
+    lat = table.lattice
+    q = table.params.q
+    c = table.params.c_qv
+    norm_phi = LatticeFunction(lat, phi.values / phi0, value_at_zero=1.0)
+    sl = interior_slice(lat)
+    records, densities = [], {}
+    accepted, reason = True, None
+    for n in levels:
+        cut = bochner_cutoff(norm_phi, n)
+        rho_n = fourier_transform(cut, table)
+        level_tol = tol + 50.0 * q ** n
+        verdict = is_q_positive_type(cut, None, table, level_tol)
+        dens = rho_n.values.real
+        dens_min = float(dens.min())
+        clip_tol = level_tol * max(float(np.abs(dens).max()), 1e-300)
+        mass = float((c * (1.0 - q) * np.sum(table.weights * dens)).real)
+        recon = measure_fourier_transform(QMeasure(lat, np.clip(dens, 0.0, None)), table)
+        dev = float(np.abs(c * recon.values[sl] - norm_phi.values[sl]).max())
+        records.append(
+            BochnerLevel(n, verdict.positive, verdict.min_eigenvalue, level_tol,
+                         dens_min, clip_tol, mass, dev)
+        )
+        densities[n] = dens
+        if not verdict.positive:
+            accepted, reason = False, f"PSD check failed at cutoff level {n}"
+        elif dens_min < -clip_tol:
+            accepted, reason = False, f"density negativity beyond tolerance at level {n}"
+    limit, recon_err = None, float("inf")
+    if accepted:
+        ratio = q ** (levels[-1] - levels[-2])
+        lim = (densities[levels[-1]] - ratio * densities[levels[-2]]) / (1.0 - ratio)
+        if float(lim.min()) < -tol * max(float(np.abs(lim).max()), 1e-300) * 10.0:
+            accepted, reason = False, "limit density negative beyond strict tolerance"
+        else:
+            limit = QMeasure(lat, np.clip(lim, 0.0, None))
+            recon = measure_fourier_transform(limit, table)
+            recon_err = float(np.abs(c * recon.values[sl] - norm_phi.values[sl]).max())
+    return BochnerReport(levels, records, limit, recon_err, phi0, accepted, reason)
+
+
+@pytest.mark.parametrize(
+    "regime",
+    [(0.5, 0.0, -20, 60), (0.9, 1.5, -30, 160), (0.3, 1.5, -20, 40)],
+    ids=lambda r: f"q{r[0]}-v{r[1]}",
+)
+def test_bochner_matches_per_level_loop(regime):
+    """The array evaluation gives the per-level loop's report bit for bit."""
+    table = get_table(*regime)
+    lat = table.lattice
+    rng = np.random.default_rng(11)
+    signed = np.zeros(lat.size)
+    signed[lat.index_of(2)] = 1.0
+    signed[lat.index_of(4)] = -1.0
+    phis = [
+        fourier_transform(gaussian_density(table, width_exp=1), table),
+        fourier_transform(LatticeFunction(lat, signed), table),
+        fourier_transform(nonneg_density(lat, rng), table),
+        fourier_transform(nonneg_density(lat, rng), table),
+    ]
+    outcomes = set()
+    for phi in phis:
+        for levels in (range(1, 11), range(1, 21), [3, 7], list(range(10, 0, -1))):
+            got = bochner_reconstruct(phi, levels, table)
+            want = _reference_bochner(phi, levels, table)
+            assert got.cutoff_levels == want.cutoff_levels
+            assert got.levels == want.levels
+            assert got.accepted == want.accepted
+            assert got.rejection_reason == want.rejection_reason
+            assert got.reconstruction_error == want.reconstruction_error
+            assert got.normalization == want.normalization
+            if want.limit_measure is None:
+                assert got.limit_measure is None
+            else:
+                assert np.array_equal(got.limit_measure.weights, want.limit_measure.weights)
+            outcomes.add(want.rejection_reason is None)
+    assert outcomes == {True, False}  # both accepted and rejected reports compared
