@@ -1,23 +1,25 @@
 """Lattice tables of the normalized Hahn-Exton q-Bessel function.
 
-Transform kernels only ever need j_v(q^m, q^2) at integer exponents m.  For
-m >= 0 the table sums the defining series for the whole band in one call.  Its
-roundoff, about eps times the largest term, stays within about 1e-11 of the
-value up to q = 0.9, but near m = 0 it grows toward q = 1: at v = 0 the worst
-true error is 4.0e-9 at q = 0.95 and 4.6e-4 at q = 0.97, and no table refuses
-it yet.  For m < 0 the series cancels catastrophically (the true value decays
-like q^{m^2} while intermediate terms explode), so the table is filled by the
-three-term recurrence in the argument exponent,
+Transform kernels only ever need j_v(q^m, q^2) at integer exponents m, and
+the table is filled by the three-term recurrence in the argument exponent,
 
     j(q^m) = (1 + q^{2v} - q^{2m+2}) j(q^{m+1}) - q^{2v} j(q^{m+2}),
 
-run upward from tiny seeds well below the window (Miller's algorithm: the
-desired solution is minimal in the downward direction, so contamination from
-the dominant solution dies off as the recurrence climbs) and normalized
-against a series value at m in 0..3, whose error it inherits.  The dynamic
-range of j along the chain exceeds what a double can hold, so the chain is
-kept as two lists of plain floats and ints, a frexp mantissa and a base-2
-exponent per entry, and each step renormalizes its new entry.
+whose two solutions behave like 1 and q^{-2vm} as m grows.  For m >= 0 the
+defining series is summed at two seed exponents only, where its terms
+shrink from the first one on and nothing cancels, and the recurrence runs
+from them in its stable direction (Gautschi, SIAM Review 9, 1967): downward
+to m = 0 for v >= 0, downward and upward for -1 < v < 0.
+
+For m < 0 the series cancels catastrophically (the true value decays like
+q^{m^2} while intermediate terms explode), so the recurrence is run upward
+from tiny seeds well below the window (Miller's algorithm: the desired
+solution is minimal in the downward direction, so contamination from the
+dominant solution dies off as the recurrence climbs) and normalized against
+the table value at one m in 0..3.  The dynamic range of j along the chain
+exceeds what a double can hold, so the chain is kept as two lists of plain
+floats and ints, a frexp mantissa and a base-2 exponent per entry, and each
+step renormalizes its new entry.
 """
 from __future__ import annotations
 
@@ -42,26 +44,41 @@ _MAX_SERIES_LOSS = 1e-9
 def lattice_jv_table(params: QParams, m_lo: int, m_hi: int) -> np.ndarray:
     """j_v(q^m, q^2) for m in [m_lo, m_hi], index offset by m_lo.
 
-    Series for m >= 0, scaled Miller recurrence for m < 0.
+    Recurrence from two series seeds for m >= 0, scaled Miller recurrence
+    for m < 0.
     """
     if m_lo > m_hi:
         raise ValueError("empty exponent range")
-    q = params.q
+    q, v = params.q, params.v
+    q2 = q * q
+    p2v = q ** (2.0 * v)
+    # first m >= 0 whose series terms shrink from the first one on: the term
+    # ratio is largest at n = 1, where it is q^{2m+2} / ((1-q^2)(1-q^{2v+2}))
+    ratio_floor = (1.0 - q2) * (1.0 - q ** (2.0 * v + 2.0)) / q2
+    m_safe = max(0, math.ceil(math.log(ratio_floor) / (2.0 * math.log(q))))
+    top = max(m_hi, 3)
+    seed = m_safe if v < 0.0 else max(m_safe, top)
+    pos = [0.0] * (max(seed + 1, top) + 1)  # j at m = 0, 1, ...
+    for m in (seed, seed + 1):
+        pos[m] = hahn_exton_jv_detail(q ** m, q2, v).value
+    # downward the solution near 1 dominates the one like q^{-2vm} for v >= 0;
+    # for v < 0 the latter grows by at most q^{-2|v| seed} on the way down
+    for m in range(seed - 1, -1, -1):
+        pos[m] = (1.0 + p2v - q ** (2 * m + 2)) * pos[m + 1] - p2v * pos[m + 2]
+    # upward (v < 0 only) the solution near 1 dominates
+    for m in range(seed, top - 1):
+        pos[m + 2] = ((1.0 + p2v - q ** (2 * m + 2)) * pos[m + 1] - pos[m]) / p2v
     out = np.empty(m_hi - m_lo + 1, dtype=float)
-
-    # one series call for the whole m >= 0 band; z = q^m by Python's pow, as
-    # the per-exponent calls had it (np.power rounds some of them differently)
-    z = np.array([q ** m for m in range(max(m_hi, 3) + 1)])
-    series = hahn_exton_jv_detail(z, q * q, params.v).value
     if m_hi >= 0:
-        out[max(m_lo, 0) - m_lo :] = series[max(m_lo, 0) : m_hi + 1]
+        out[max(m_lo, 0) - m_lo :] = pos[max(m_lo, 0) : m_hi + 1]
 
     if m_lo < 0:
-        p2v = q ** (2.0 * params.v)
         start = m_lo - _SEED_MARGIN
-        # normalize where the series value is largest in magnitude, to dodge
-        # accidental proximity to a zero of j
-        m_ref = int(np.argmax(abs(series[:4])))
+        # each upward chain step above m = 0 grows the unwanted solution by
+        # q^{-2v} (v > 0), and a value near a zero of j carries a large
+        # relative error: normalize where the two weigh least
+        weight = [abs(pos[m]) * q ** (2.0 * max(v, 0.0) * m) for m in range(4)]
+        m_ref = weight.index(max(weight))
         # j at exponent start + i is mant[i] * 2**expo[i] (up to one global
         # scale); every step renormalizes, since one step can grow by q^{2m}
         mant, expo = [0.0, 1.0], [0, _MIN_EXP]
@@ -75,7 +92,7 @@ def lattice_jv_table(params: QParams, m_lo: int, m_hi: int) -> np.ndarray:
         if mant[ref] == 0.0:
             raise ZeroDivisionError("Miller chain lost the reference value")
         kept = slice(m_lo - start, min(0, m_hi + 1) - start)
-        mt, e = np.frexp(np.array(mant[kept]) * (series[m_ref] / mant[ref]))
+        mt, e = np.frexp(np.array(mant[kept]) * (pos[m_ref] / mant[ref]))
         e += np.array(expo[kept]) - expo[ref]
         if np.any((e > 1024) & (mt != 0.0)):
             raise OverflowError("scaled chain value exceeds double range")
@@ -89,24 +106,21 @@ def hahn_exton_jv_stable(z: float, q_base: float, v: float) -> float:
     """Series evaluation with a recurrence fallback for cancelling arguments.
 
     When the alternating series loses precision and z sits on the lattice
-    z = q^m (q = sqrt(q_base), integer m < 0), the value is taken from the
-    recurrence-based table instead.  That table is normalised on a series
-    value at m in 0..3 and inherits its roundoff: within about 1e-11 up to
-    q = 0.9, growing toward q = 1 (see the module docstring).  Any other
-    cancelling argument keeps the flagged series value
-    when its estimated relative error eps * max_term / |value| stays within
-    1e-9, and raises PrecisionLossError otherwise: there is no better
-    double-precision route for those.
+    z = q^m (q = sqrt(q_base), any integer m), the value is taken from the
+    recurrence table instead, which carries no cancellation.  Any other
+    cancelling argument keeps the flagged series value when its estimated
+    relative error eps * max_term / |value| stays within 1e-9, and raises
+    PrecisionLossError otherwise: there is no better double-precision route
+    for those.
     """
     detail = hahn_exton_jv_detail(z, q_base, v)
     if not detail.cancellation:
         return detail.value
-    if z > 1.0:
-        q = math.sqrt(q_base)
-        m_real = math.log(z) / math.log(q)
-        m = round(m_real)
-        if m < 0 and abs(m_real - m) <= 1e-8:
-            return float(lattice_jv_table(QParams(q=q, v=v), m, 0)[0])
+    q = math.sqrt(q_base)
+    m_real = math.log(z) / math.log(q)
+    m = round(m_real)
+    if abs(m_real - m) <= 1e-8:
+        return float(lattice_jv_table(QParams(q=q, v=v), m, m)[0])
     loss = 2.3e-16 * detail.max_term / abs(detail.value) if detail.value else math.inf
     if loss > _MAX_SERIES_LOSS:
         raise PrecisionLossError(

@@ -473,7 +473,9 @@ def bochner_reconstruct(
     stack of Gram matrices with one stacked ``eigh`` for the PSD checks, and
     axis reductions for the other checks.  Each level's PSD verdict equals
     ``is_q_positive_type`` on that cutoff with tolerance tol + 50 q^n, bit
-    for bit.  When several levels fail, the reason names the highest.
+    for bit.  When several levels fail, the reason names the highest.  A
+    phi(0) that is not real and positive (|Im phi(0)| > tol |phi(0)|) is
+    rejected whatever the levels say: it is the total mass of the measure.
     """
     if phi.value_at_zero is None:
         raise ValueError("phi must carry value_at_zero")
@@ -529,6 +531,9 @@ def bochner_reconstruct(
         elif rec.density_min < -rec.density_clip_tolerance:
             accepted = False
             reason = f"density negativity beyond tolerance at level {rec.level}"
+    if phi0.real <= 0.0 or abs(phi0.imag) > tol * abs(phi0):
+        accepted = False
+        reason = f"phi(0) = {phi0} is not real and positive"
 
     limit = None
     recon_err = float("inf")

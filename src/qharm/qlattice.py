@@ -131,7 +131,7 @@ class JvResult(NamedTuple):
     cancellation: bool
 
 
-def hahn_exton_jv_detail(z: Union[float, np.ndarray], q_base: float, v: float) -> JvResult:
+def hahn_exton_jv_detail(z: float, q_base: float, v: float) -> JvResult:
     """Normalized Hahn-Exton q-Bessel function, with summation diagnostics.
 
     j_v(z, q) = sum_{n>=0} (-1)^n q^{n(n+1)/2} z^{2n} / ((q;q)_n (q^{v+1};q)_n).
@@ -139,64 +139,45 @@ def hahn_exton_jv_detail(z: Union[float, np.ndarray], q_base: float, v: float) -
     Uses Neumaier-compensated summation and reports the largest intermediate
     term; for large z the alternating terms grow far beyond the result and the
     `cancellation` flag marks the value as precision-limited.
-
-    An ndarray `z` gives a JvResult of arrays of its shape, a scalar `z` one
-    of Python scalars.  One loop over n serves all points; each keeps its own
-    sum, carry, largest term and stopping test and leaves the active set when
-    that test passes, so it sees the float operations of a one-point call.
     """
     if not 0.0 < q_base < 1.0:
         raise ValueError(f"q_base must lie in (0,1), got {q_base}")
     if v <= -1.0:
         raise ValueError(f"v must exceed -1, got {v}")
-    zs = np.asarray(z, dtype=float).ravel()
-    if (zs < 0.0).any():
+    if z < 0.0:
         raise ValueError(f"z must be nonnegative, got {z}")
-    z2 = zs * zs
+    z2 = z * z
     qv1 = q_base ** (v + 1.0)
     # factors (q;q)_inf, (q^{v+1};q)_inf bound the denominators from below
-    pq_inf = abs(q_pochhammer_infinite(q_base, q_base))
-    pv_inf = abs(q_pochhammer_infinite(qv1, q_base))
-    denom_floor = pq_inf * pv_inf
-
-    value, max_out = np.empty((2, z2.size))
-    live = np.arange(z2.size)  # original positions of the active points
-    total, comp = np.zeros((2, z2.size))  # comp: the Neumaier carry
-    term, max_term = np.ones((2, z2.size))
+    denom_floor = abs(q_pochhammer_infinite(q_base, q_base)) * abs(
+        q_pochhammer_infinite(qv1, q_base)
+    )
+    total = comp = 0.0  # comp: the Neumaier carry
+    term = max_term = 1.0
     n = 0
-    # Python floats overflow to inf and propagate nan silently; so do these
-    with np.errstate(over="ignore", invalid="ignore"):
-        while live.size:
-            t = term if n % 2 == 0 else -term
-            s = total + t
-            comp += np.where(abs(total) >= abs(t), (total - s) + t, (t - s) + total)
-            total = s
-            max_term = np.fmax(max_term, abs(term))  # like max(), ignores a nan term
-            n += 1
-            if n >= DEFAULT_MAX_TERMS:
-                raise TruncationCapError(
-                    f"j_v series did not converge within {DEFAULT_MAX_TERMS} terms "
-                    f"(z={zs[live[0]]})"
-                )
-            # term_{n} = term_{n-1} * q^n z^2 / ((1-q^n)(1-q^{v+n}))
-            qn = q_base ** n
-            term *= qn * z2 / ((1.0 - qn) * (1.0 - qv1 * qn / q_base))
-            # superexponential decay kicks in once q^n z^2 < 1; then the crude
-            # bound q^{n(n+1)/2} z^{2n} / denom_floor controls the tail
-            tail = term / denom_floor
-            done = (qn * z2 < 1.0) & (tail < DEFAULT_TRUNC_TOL * (1.0 + abs(total)))
-            if done.any():
-                value[live[done]] = total[done] + comp[done]
-                max_out[live[done]] = max_term[done]
-                keep = ~done
-                live, z2, total, comp, term, max_term = (
-                    a[keep] for a in (live, z2, total, comp, term, max_term)
-                )
+    while True:
+        t = term if n % 2 == 0 else -term
+        s = total + t
+        comp += (total - s) + t if abs(total) >= abs(t) else (t - s) + total
+        total = s
+        max_term = max(max_term, abs(term))
+        n += 1
+        if n >= DEFAULT_MAX_TERMS:
+            raise TruncationCapError(
+                f"j_v series did not converge within {DEFAULT_MAX_TERMS} terms (z={z})"
+            )
+        # term_{n} = term_{n-1} * q^n z^2 / ((1-q^n)(1-q^{v+n}))
+        qn = q_base ** n
+        term *= qn * z2 / ((1.0 - qn) * (1.0 - qv1 * qn / q_base))
+        # superexponential decay kicks in once q^n z^2 < 1; then the crude
+        # bound q^{n(n+1)/2} z^{2n} / denom_floor controls the tail
+        if qn * z2 < 1.0 and term / denom_floor < DEFAULT_TRUNC_TOL * (1.0 + abs(total)):
+            break
+    value = total + comp
     # roundoff in the summed terms is about eps * max_term; flag the value
     # once that noise floor reaches 1e-11 of the result
-    cancel = np.where(value != 0.0, 2.3e-16 * max_out > 1e-11 * abs(value), max_out > 1.0)
-    res = JvResult(*(a.reshape(np.shape(z)) for a in (value, max_out, cancel)))
-    return JvResult(*(a.item() for a in res)) if np.ndim(z) == 0 else res
+    cancel = 2.3e-16 * max_term > 1e-11 * abs(value) if value else max_term > 1.0
+    return JvResult(value, max_term, cancel)
 
 
 def hahn_exton_jv(z: float, q_base: float, v: float) -> float:

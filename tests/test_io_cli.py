@@ -114,10 +114,17 @@ class TestCLIEval:
 
     @pytest.mark.parametrize("qbase", ["0.98", "0.9604"])
     def test_jv_refuses_cancelled_series(self, qbase, capsys):
-        assert main(["eval", "jv", "--z", "1.0", "--qbase", qbase]) == 2
+        # z = 1.5 is off the lattice {q^m} of either base
+        assert main(["eval", "jv", "--z", "1.5", "--qbase", qbase]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "loses precision" in captured.err
+
+    def test_jv_cancelling_lattice_argument_served_from_table(self, capsys):
+        # z = 1 = q^0; the series alone gives 1.4e24 here
+        assert main(["eval", "jv", "--z", "1.0", "--qbase", "0.98"]) == 0
+        # mpmath: j_0(1, 0.98) = 0.0573654311691302...
+        assert float(capsys.readouterr().out) == pytest.approx(0.0573654311691302, rel=1e-12)
 
     def test_jv_accurate_series_still_printed(self, capsys):
         # mpmath: j_0(1, 0.81) = -0.2301898345013299...
@@ -290,6 +297,22 @@ class TestCLIJudgements:
         assert payload["accepted"] is True
         recovered = load_lattice_function(out, 0.5)
         assert np.all(np.real(recovered.values) >= -1e-12)
+
+    def test_bochner_rejects_negated_function(self, tmp_path, capsys):
+        from qharm import build_transform_table, fourier_transform
+        from qharm.qlattice import QParams
+
+        lat = QLattice(0.5, -20, 60)
+        table = build_transform_table(QParams(q=0.5), lat)
+        phi = fourier_transform(gaussian_density(table, width_exp=1), table)
+        path = str(tmp_path / "negphi.csv")
+        save_lattice_function(
+            LatticeFunction(lat, -phi.values, value_at_zero=-phi.value_at_zero), path
+        )
+        assert main(["bochner", path]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["accepted"] is False
+        assert "phi(0)" in payload["rejection_reason"]
 
 
 # options each subcommand used to accept without reading them

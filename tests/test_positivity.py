@@ -214,6 +214,19 @@ class TestBochner:
         assert not rep.accepted
         assert rep.rejection_reason is not None
 
+    @pytest.mark.parametrize("factor", [-1.0, 1.0 + 0.3j])
+    def test_rejects_origin_value_not_real_positive(self, regime_table, factor):
+        # phi(0) is the total mass of a positive measure; dividing by a signed
+        # or complex phi(0) used to accept these with errors near 1e-14
+        phi = fourier_transform(gaussian_density(regime_table, width_exp=1), regime_table)
+        phi = LatticeFunction(
+            phi.lattice, factor * phi.values, value_at_zero=factor * phi.value_at_zero
+        )
+        rep = bochner_reconstruct(phi, range(1, 11), regime_table)
+        assert not rep.accepted
+        assert rep.limit_measure is None
+        assert "phi(0)" in rep.rejection_reason
+
     def test_requires_origin_value(self, table05, rng):
         phi = positive_type_fn(table05, rng)
         phi.value_at_zero = None
