@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .errors import PrecisionLossError
-from .qlattice import QParams, hahn_exton_jv_detail
+from .qlattice import QParams, _jv_denom_floor, _jv_series, hahn_exton_jv_detail
 
 # extra recurrence steps below the lowest requested exponent; contamination
 # decays superexponentially with this margin
@@ -59,8 +59,9 @@ def lattice_jv_table(params: QParams, m_lo: int, m_hi: int) -> np.ndarray:
     top = max(m_hi, 3)
     seed = m_safe if v < 0.0 else max(m_safe, top)
     pos = [0.0] * (max(seed + 1, top) + 1)  # j at m = 0, 1, ...
+    floor = _jv_denom_floor(q2, v)
     for m in (seed, seed + 1):
-        pos[m] = hahn_exton_jv_detail(q ** m, q2, v).value
+        pos[m] = _jv_series(q ** m, q2, v, floor).value
     # downward the solution near 1 dominates the one like q^{-2vm} for v >= 0;
     # for v < 0 the latter grows by at most q^{-2|v| seed} on the way down
     for m in range(seed - 1, -1, -1):

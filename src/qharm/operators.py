@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -25,6 +25,9 @@ from .transform import TransformTable, build_transform_table, fourier_transform
 
 # a scanned D_v value below -DEFAULT_PROBE_TOL is reported as negativity
 DEFAULT_PROBE_TOL = 1e-10
+# the probe builds D_v in blocks of x slabs whose (block, P, N) operand of
+# the stacked product stays under this many bytes
+_PROBE_BLOCK_BYTES = 1 << 20
 
 
 def translation(
@@ -72,14 +75,23 @@ def translation_kernel(
 
 
 def translation_kernel_matrix(
-    x_exponent: int, exponents: Sequence[int], table: TransformTable
+    x_exponents: Union[int, Sequence[int]], exponents: Sequence[int], table: TransformTable
 ) -> np.ndarray:
-    """D[i, j] = D_v(q^x, q^{e_i}, q^{e_j}) for x = q^{x_exponent}, as one
-    matrix product over the window sum of :func:`translation_kernel`."""
+    """D[..., i, j] = D_v(q^x, q^{e_i}, q^{e_j}), the window sum of
+    :func:`translation_kernel` as matrix products.
+
+    An int x gives one (P, P) matrix; an array of X exponents gives the
+    (X, P, P) stack from one Hankel gather and one stacked product, which
+    runs one matrix product per slab, so slab k equals the matrix of
+    x_exponents[k] bit for bit.
+    """
     params = table.params
     rows = table.rows(exponents)
-    weighted = rows * (table.weights * table.jv_row(x_exponent))
-    return params.c_qv ** 2 * (1.0 - params.q) * (weighted @ rows.T)
+    x_rows = table.rows(np.ravel(x_exponents))
+    weighted = rows * (table.weights * x_rows)[:, None, :]
+    core = weighted @ rows.T
+    core *= params.c_qv ** 2 * (1.0 - params.q)
+    return core[0] if np.ndim(x_exponents) == 0 else core
 
 
 def translation_via_kernel(
@@ -253,21 +265,26 @@ def qv_membership_probe(
     """Exhaustive window scan of min D_v(x,y,z).
 
     A finite-window heuristic only: a clean scan reports "no negativity
-    detected", never membership of q in the positivity set.  Each x slab is
-    a fixed-order reduction and the first smallest entry wins, so the
-    output is deterministic.
+    detected", never membership of q in the positivity set.  The x slabs
+    are built as stacks from :func:`translation_kernel_matrix`, in blocks
+    whose (block, P, N) product operand stays under _PROBE_BLOCK_BYTES;
+    the first smallest entry in (x, y, z) order wins, so the output is
+    deterministic and does not depend on the block size.
     """
     integration = _probe_integration_window(params, lattice)
     table = build_transform_table(params, integration)
     exponents = lattice.indices
     n_pts = lattice.size
+    block = max(1, _PROBE_BLOCK_BYTES // (n_pts * integration.size * 8))
     min_val, best = float("inf"), (0, 0, 0)
-    for i, x in enumerate(exponents):
-        # D(x_i, y_j, z_l) over all j, l at once
-        core = translation_kernel_matrix(int(x), exponents, table)
+    for start in range(0, n_pts, block):
+        # D(x_i, y_j, z_l) for the block's i and all j, l at once
+        core = translation_kernel_matrix(exponents[start : start + block], exponents, table)
         flat = int(np.argmin(core))
         if core.flat[flat] < min_val:
-            min_val, best = float(core.flat[flat]), (i, *divmod(flat, n_pts))
+            i, rest = divmod(flat, n_pts * n_pts)
+            min_val, best = float(core.flat[flat]), (start + i, *divmod(rest, n_pts))
+        del core  # free this block's stack before the next one is built
     offs = lattice.n_min
     witness = None
     verdict = f"no negativity detected at tolerance -{tolerance:g}"

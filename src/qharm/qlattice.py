@@ -146,12 +146,21 @@ def hahn_exton_jv_detail(z: float, q_base: float, v: float) -> JvResult:
         raise ValueError(f"v must exceed -1, got {v}")
     if z < 0.0:
         raise ValueError(f"z must be nonnegative, got {z}")
+    return _jv_series(z, q_base, v, _jv_denom_floor(q_base, v))
+
+
+def _jv_denom_floor(q_base: float, v: float) -> float:
+    """(q;q)_inf (q^{v+1};q)_inf, which bounds the series denominators from
+    below; it does not depend on z, so a table computes it once."""
+    return abs(q_pochhammer_infinite(q_base, q_base)) * abs(
+        q_pochhammer_infinite(q_base ** (v + 1.0), q_base)
+    )
+
+
+def _jv_series(z: float, q_base: float, v: float, denom_floor: float) -> JvResult:
+    """The series loop of :func:`hahn_exton_jv_detail` for checked arguments."""
     z2 = z * z
     qv1 = q_base ** (v + 1.0)
-    # factors (q;q)_inf, (q^{v+1};q)_inf bound the denominators from below
-    denom_floor = abs(q_pochhammer_infinite(q_base, q_base)) * abs(
-        q_pochhammer_infinite(qv1, q_base)
-    )
     total = comp = 0.0  # comp: the Neumaier carry
     term = max_term = 1.0
     n = 0

@@ -192,8 +192,8 @@ class TestSeriesArrayPath:
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_z_free_products_computed_once_per_table(self, monkeypatch):
-        # the series runs at two seed points whatever the window, so the
-        # count of q-products does not grow with it
+        # the series runs at two seed points whatever the window, and both
+        # share (q^2;q^2)_inf and (q^{2v+2};q^2)_inf: two q-products a table
         params = QParams(0.9, 1.5)
         calls = []
         inner = qharm.qlattice.q_pochhammer_infinite
@@ -205,6 +205,7 @@ class TestSeriesArrayPath:
         monkeypatch.setattr(qharm.qlattice, "q_pochhammer_infinite", counting)
         lattice_jv_table(params, -10, 40)
         small = len(calls)
+        assert small == 2
         calls.clear()
         lattice_jv_table(params, -60, 320)
         assert len(calls) == small

@@ -18,9 +18,15 @@ from qharm import (
     translation_via_kernel,
     young_inequality_check,
 )
-from qharm.operators import translation_kernel_matrix
-from qharm.transform import interior_slice
+from qharm.operators import (
+    _PROBE_BLOCK_BYTES,
+    _probe_integration_window,
+    translation_kernel_matrix,
+)
+from qharm.transform import build_transform_table, interior_slice
 from qharm.testfunctions import random_compact
+
+from conftest import get_table
 
 
 class TestTranslation:
@@ -57,6 +63,20 @@ class TestTranslation:
             )
             assert np.all(np.abs(d - scalar) <= 1e-13 * absolute)
             assert np.all(np.abs(d - d.T) <= 1e-13 * absolute)
+
+    @pytest.mark.parametrize(
+        "regime", [(0.5, 0.0, -20, 60), (0.9, 1.5, -30, 160)], ids=["q0.5-v0", "q0.9-v1.5"]
+    )
+    def test_kernel_stack_equals_per_x_matrices(self, regime):
+        table = get_table(*regime)
+        exps = np.arange(-12, 21)
+        xs = np.array([-7, -2, 0, 3, 11, 20])
+        stack = translation_kernel_matrix(xs, exps, table)
+        assert stack.shape == (xs.size, exps.size, exps.size)
+        for x, slab in zip(xs, stack):
+            single = translation_kernel_matrix(int(x), exps, table)
+            assert single.shape == (exps.size, exps.size)
+            assert np.array_equal(slab, single)
 
     def test_translation_of_bessel_probe_factorizes(self, table05):
         # T_u j_v(q^n .) = j_v(q^{n+u}) j_v(q^n .)
@@ -184,3 +204,38 @@ class TestQvProbe:
         params = QParams(q=0.5, v=0.0)
         lat = QLattice(0.5, -6, 8)
         assert qv_membership_probe(params, lat) == qv_membership_probe(params, lat)
+
+    @staticmethod
+    def _per_slab_reference(params, lattice):
+        """min D and its first (x, y, z) position, one x slab at a time:
+        np.argmin within a slab, strict < across slabs."""
+        integration = _probe_integration_window(params, lattice)
+        table = build_transform_table(params, integration)
+        exps = lattice.indices
+        min_val, best = float("inf"), None
+        for x in exps:
+            core = translation_kernel_matrix(int(x), exps, table)
+            flat = int(np.argmin(core))
+            if core.flat[flat] < min_val:
+                j, l = divmod(flat, lattice.size)
+                min_val, best = float(core.flat[flat]), (int(x), int(exps[j]), int(exps[l]))
+        return min_val, best, integration.size
+
+    @pytest.mark.parametrize(
+        "q, v, n_min, n_max, blocks",
+        [(0.5, 0.0, -8, 12, 1), (0.9, 0.0, -20, 40, 7)],
+        ids=["cli-default", "q0.9-several-blocks"],
+    )
+    def test_blocked_scan_matches_per_slab_reference(self, q, v, n_min, n_max, blocks):
+        params, lattice = QParams(q=q, v=v), QLattice(q, n_min, n_max)
+        min_val, best, n_int = self._per_slab_reference(params, lattice)
+        per_block = max(1, _PROBE_BLOCK_BYTES // (lattice.size * n_int * 8))
+        assert -(-lattice.size // per_block) == blocks
+        rep = qv_membership_probe(params, lattice)
+        assert rep.min_value == min_val
+        if min_val < -rep.tolerance:
+            assert rep.witness == best
+            assert rep.verdict == "negativity detected"
+        else:
+            assert rep.witness is None
+            assert "no negativity" in rep.verdict
