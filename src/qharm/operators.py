@@ -180,9 +180,10 @@ def _gauss_kernel_parts(x, t: float, params: QParams):
     q2 = params.q ** 2
     q2v2 = params.q ** (2.0 * params.v + 2.0)
     qm2v = params.q ** (-2.0 * params.v)
-    num = q_pochhammer_infinite(-q2v2 * t, q2).real * q_pochhammer_infinite(-qm2v / t, q2).real
-    den = q_pochhammer_infinite(-t, q2).real * q_pochhammer_infinite(-q2 / t, q2).real
-    at_zero = num / den
+    num_a, num_b, den_a, den_b = q_pochhammer_infinite(
+        np.array([-q2v2 * t, -qm2v / t, -t, -q2 / t]), q2
+    ).tolist()
+    at_zero = num_a * num_b / (den_a * den_b)
     return at_zero, at_zero * q_exponential(-qm2v * x * x / t, q2).real
 
 

@@ -7,6 +7,7 @@ on a finite lattice window.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
@@ -35,21 +36,36 @@ def q_pochhammer_finite(a: Complex, q: float, n: int) -> Complex:
     return out
 
 
-def q_pochhammer_infinite(a: Complex, q: float) -> Complex:
-    """(a;q)_inf, truncated at the first factor with |a| q^i < DEFAULT_TRUNC_TOL."""
+def q_pochhammer_infinite(a: Union[Complex, np.ndarray], q: float):
+    """(a;q)_inf as one product over the factors 1 - a q^i, i < n.
+
+    n is the first index with |a| q^n < DEFAULT_TRUNC_TOL, taken in closed
+    form from logs; TruncationCapError is raised when n exceeds
+    DEFAULT_MAX_TERMS.  An ndarray `a` gives the products of all its
+    entries in one pass, each over the factor count of the largest |a|: a
+    factor past an entry's own count is within 1e-18 of 1 and rounds to it.
+    A scalar `a` gives a Python float, or a complex for complex `a`.
+    """
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0,1), got {q}")
-    out: Complex = 1.0
-    mag = abs(a)
-    for i in range(DEFAULT_MAX_TERMS):
-        if mag < DEFAULT_TRUNC_TOL:
-            return out
-        out *= 1.0 - a * (q ** i)
-        mag *= q
-    raise TruncationCapError(
-        f"(a;q)_inf did not reach tolerance {DEFAULT_TRUNC_TOL} "
-        f"within {DEFAULT_MAX_TERMS} factors"
-    )
+    batch = isinstance(a, np.ndarray)
+    mag = float(np.abs(a).max(initial=0.0)) if batch else abs(a)
+    n = 0
+    if not mag < DEFAULT_TRUNC_TOL:
+        steps = (math.log(DEFAULT_TRUNC_TOL) - math.log(mag)) / math.log(q)
+        # a NaN or infinite |a| never reaches the tolerance
+        n = math.floor(steps) + 1 if math.isfinite(steps) else DEFAULT_MAX_TERMS + 1
+    if n > DEFAULT_MAX_TERMS:
+        raise TruncationCapError(
+            f"(a;q)_inf did not reach tolerance {DEFAULT_TRUNC_TOL} "
+            f"within {DEFAULT_MAX_TERMS} factors"
+        )
+    powers = q ** np.arange(n)
+    # a product past double range is inf, as the scalar float product is
+    with np.errstate(over="ignore"):
+        if batch:
+            return np.multiply.reduce(1.0 - a[..., None] * powers, axis=-1)
+        return np.multiply.reduce(1.0 - a * powers).item()
 
 
 def q_exponential(z: Complex, q: float) -> Complex:
@@ -151,7 +167,7 @@ def hahn_exton_jv_detail(z: float, q_base: float, v: float) -> JvResult:
 
 def _jv_denom_floor(q_base: float, v: float) -> float:
     """(q;q)_inf (q^{v+1};q)_inf, which bounds the series denominators from
-    below; it does not depend on z, so a table computes it once."""
+    below; a kernel table reads it from :class:`QParams` instead."""
     return abs(q_pochhammer_infinite(q_base, q_base)) * abs(
         q_pochhammer_infinite(q_base ** (v + 1.0), q_base)
     )
@@ -199,13 +215,16 @@ class QParams:
     """Deformation parameters (q, v) plus the derived transform constants.
 
     c_qv is the transform normalization, B_qv the L^1 -> sup-norm bound
-    constant; both are recomputed from infinite q-Pochhammer products.
+    constant and jv_denom_floor = (q^2;q^2)_inf (q^{2v+2};q^2)_inf the floor
+    of the kernel series' denominators; all three come from the four
+    infinite q-Pochhammer products of one call.
     """
 
     q: float
     v: float = 0.0
     c_qv: float = field(init=False)
     B_qv: float = field(init=False)
+    jv_denom_floor: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.q < 1.0:
@@ -214,14 +233,14 @@ class QParams:
             raise ValueError(f"v must exceed -1, got {self.v}")
         q2 = self.q * self.q
         qv2 = self.q ** (2.0 * self.v + 2.0)
-        poch_q2 = q_pochhammer_infinite(q2, q2).real
-        poch_qv2 = q_pochhammer_infinite(qv2, q2).real
-        poch_neg_q2 = q_pochhammer_infinite(-q2, q2).real
-        poch_neg_qv2 = q_pochhammer_infinite(-qv2, q2).real
+        poch_q2, poch_qv2, poch_neg_q2, poch_neg_qv2 = q_pochhammer_infinite(
+            np.array([q2, qv2, -q2, -qv2]), q2
+        ).tolist()
         object.__setattr__(self, "c_qv", poch_qv2 / poch_q2 / (1.0 - self.q))
         object.__setattr__(
             self, "B_qv", poch_neg_q2 * poch_neg_qv2 / poch_q2 / (1.0 - self.q)
         )
+        object.__setattr__(self, "jv_denom_floor", abs(poch_q2) * abs(poch_qv2))
 
     @property
     def bessel_bound_constant(self) -> float:

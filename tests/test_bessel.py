@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -17,14 +18,26 @@ from qharm import (
 )
 
 # sha256 of build_transform_table(...).bessel_values for (q, v, n_min, n_max),
-# computed with the two-seed recurrence table build
+# computed with the closed-form tail above m_two and the two-seed recurrence
+# below it
 TABLE_SHA256 = {
-    (0.5, 0.0, -20, 60): "cf164733bc8d52d9e6874414956f66474d07399b11e8d9b4ee4a51e0438d166e",
-    (0.9, 1.5, -30, 160): "c64e2040196fc8a15fd823c745d0089fda0f760bbf795461d863ce2c84be55c3",
-    (0.95, 0.0, -40, 320): "33e90aceb9d3ea8ab0b993b60a9c62e60aaf730e8cb9b2abef8550c22e9bab60",
-    (0.97, 0.0, -50, 550): "51f4f6cf12919c3e8f5baa54cf0bde3a32dd43fe5ac61b7fa027abde86d3770d",
-    (0.3, 1.5, -45, 15): "0e2c72441924553225a04400b8149d320d32e0690ce7ce0c6faf74c3ee6db5bb",
+    (0.5, 0.0, -20, 60): "cbaf0780cf962fb338a21cd5c22878f162f9807763a5b287bbb0a545ad8422fc",
+    (0.9, 1.5, -30, 160): "4060a66d4fddf5bdcb8cfd45c5f21e257bf66d9530450b014ea5ca5f8b039724",
+    (0.95, 0.0, -40, 320): "688d3f87f835e987f1071c2c8b269aeb8acfcbc07405ef0f76018f5e8795d92a",
+    (0.97, 0.0, -50, 550): "d55796aeba5e5471b46afe4efaec3d56855bf48d9bb8aa886873ebae3ae10ec2",
+    (0.3, 1.5, -45, 15): "1f648937490593fb11e7e3395c08b26dadc328da79f48a6d1b029f16fe08db4c",
 }
+
+# sha256 over lattice_jv_table(QParams(q, v), m_lo, -1) on the grid below, the
+# name of the exception folded in where a case raises (at q = 0.1, m_lo = -160
+# the first chain coefficient q^{2m+2} overflows); the chain kept as one frexp
+# mantissa and exponent per entry gave the same digest
+MILLER_GRID = (
+    (0.1, 0.15, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.97),
+    (-0.9, -0.5, 0.0, 0.5, 1.5, 3.0),
+    (-3, -10, -20, -45, -60, -100, -160),
+)
+MILLER_SHA256 = "314f731877485b039b8a4079831663ca958c9906d969af501b4f08c5aa4ad1e0"
 
 # mpmath values of j_v(q^m, q^2), precision sized to each sum's cancellation
 # (scripts/kernel_pins.py)
@@ -191,9 +204,9 @@ class TestSeriesArrayPath:
             got = table.bessel_values[m - 2 * n_min]
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
-    def test_z_free_products_computed_once_per_table(self, monkeypatch):
-        # the series runs at two seed points whatever the window, and both
-        # share (q^2;q^2)_inf and (q^{2v+2};q^2)_inf: two q-products a table
+    def test_table_reads_z_free_products_from_params(self, monkeypatch):
+        # the series seeds share (q^2;q^2)_inf and (q^{2v+2};q^2)_inf, which
+        # QParams computes along with c_qv and B_qv: no q-product per table
         params = QParams(0.9, 1.5)
         calls = []
         inner = qharm.qlattice.q_pochhammer_infinite
@@ -204,11 +217,41 @@ class TestSeriesArrayPath:
 
         monkeypatch.setattr(qharm.qlattice, "q_pochhammer_infinite", counting)
         lattice_jv_table(params, -10, 40)
-        small = len(calls)
-        assert small == 2
-        calls.clear()
         lattice_jv_table(params, -60, 320)
-        assert len(calls) == small
+        assert calls == []
+        QParams(0.9, 1.5)
+        assert len(calls) == 1
+
+    def test_miller_chain_bytes_pinned(self):
+        digest = hashlib.sha256()
+        for q, v, m_lo in itertools.product(*MILLER_GRID):
+            try:
+                digest.update(lattice_jv_table(QParams(q, v), m_lo, -1).tobytes())
+            except (OverflowError, ZeroDivisionError) as exc:
+                digest.update(type(exc).__name__.encode())
+        assert digest.hexdigest() == MILLER_SHA256
+
+    def test_short_downward_run_matches_pins_at_q_095(self):
+        # the downward run starts just above m_two (about 225 here), not at
+        # the table top 640; from the top the m = 3 pin was 2.1e-13 off
+        q, v, n_min, n_max = 0.95, 0.0, -40, 320
+        table = build_transform_table(QParams(q, v), QLattice(q, n_min, n_max))
+        pinned = truth(q, v)
+        assert len(pinned) == 6
+        for m, want in pinned.items():
+            got = table.bessel_values[m - 2 * n_min]
+            assert got == pytest.approx(want, rel=2e-14, abs=0.0)
+
+    @pytest.mark.parametrize("q, v", [(0.3, 0.0), (0.9, -0.5), (0.95, 3.0)])
+    def test_closed_form_tail_matches_series(self, q, v):
+        # above m_two + 2, m_two being the first m whose n = 2 series term
+        # q^{4m+6} / ((1-q^2)(1-q^4)(1-q^{2v+2})(1-q^{2v+4})) is below 2^-55,
+        # the table is the two-term series; the summed series agrees to an ulp
+        c2 = (1 - q**2) * (1 - q**4) * (1 - q ** (2 * v + 2)) * (1 - q ** (2 * v + 4))
+        m_two = next(m for m in range(3, 10**4) if q ** (4 * m + 6) / c2 < 2.0**-55)
+        tab = lattice_jv_table(QParams(q, v), 0, m_two + 60)
+        for m in range(m_two + 3, m_two + 61):
+            assert tab[m] == pytest.approx(hahn_exton_jv(q**m, q * q, v), rel=2.3e-16)
 
     @pytest.mark.parametrize("q_base", [0.25, 0.81, 0.9025, 0.9409])
     def test_matches_python_float_loop(self, q_base):

@@ -23,6 +23,19 @@ from qharm.errors import LatticeMismatchError
 from qharm.qlattice import jackson_integral_detail, vanishing_and_bounded_diagnostics
 
 
+def _pochhammer_loop(a, q):
+    """(a;q)_inf as a factor loop that stops at the first |a| q^i below 1e-18,
+    raising after 10000 factors; the array product must agree with it."""
+    out = 1.0
+    mag = abs(a)
+    for i in range(10000):
+        if mag < 1e-18:
+            return out, i
+        out *= 1.0 - a * (q**i)
+        mag *= q
+    raise TruncationCapError("loop cap")
+
+
 class TestPochhammer:
     def test_empty_product(self):
         assert q_pochhammer_finite(0.3, 0.5, 0) == 1.0
@@ -45,6 +58,34 @@ class TestPochhammer:
         n = 7
         split = q_pochhammer_finite(a, q, n) * q_pochhammer_infinite(a * q ** n, q)
         assert inf == pytest.approx(split, rel=1e-14)
+
+    @pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 0.99])
+    def test_infinite_matches_factor_loop(self, q):
+        # the array product and the loop round each power q^i and the running
+        # product differently, so they part like a random walk over n factors
+        values = (0.3, -0.7, 0.95, -2.5, -40.0, 1e-20, 0.0, 0.5 + 0.5j, -1.2 + 0.3j, 2j, 3 - 4j)
+        for a in values:
+            want, n = _pochhammer_loop(a, q)
+            got = q_pochhammer_infinite(a, q)
+            assert type(got) is (complex if isinstance(a, complex) else float)
+            tol = 2.0 * math.sqrt(max(n, 1)) * np.finfo(float).eps
+            assert got == pytest.approx(want, rel=tol, abs=0.0)
+        # one call for all of them: real and complex entries alike, so the
+        # finite products only (at q = 0.99, (-40; q)_inf is past double range)
+        finite = [a for a in values if math.isfinite(abs(q_pochhammer_infinite(a, q)))]
+        both = q_pochhammer_infinite(np.array(finite), q)
+        assert both.shape == (len(finite),)
+        for a, got in zip(finite, both):
+            assert got == pytest.approx(q_pochhammer_infinite(a, q), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "a, q", [(0.5, 0.999), (1e-3, 0.9999), (-3.0 + 1j, 0.999), (math.inf, 0.5), (math.nan, 0.5)]
+    )
+    def test_infinite_raises_where_factor_loop_raises(self, a, q):
+        with pytest.raises(TruncationCapError):
+            _pochhammer_loop(a, q)
+        with pytest.raises(TruncationCapError):
+            q_pochhammer_infinite(a, q)
 
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):
