@@ -87,7 +87,9 @@ def lattice_jv_table(params: QParams, m_lo: int, m_hi: int) -> np.ndarray:
     out = np.empty(m_hi - m_lo + 1, dtype=float)
     if m_hi >= 0:
         lo = max(m_lo, 0)
-        out[lo - m_lo : last + 1 - m_lo] = pos[lo : m_hi + 1]
+        hi = min(m_hi, last)
+        if hi >= lo:
+            out[lo - m_lo : hi + 1 - m_lo] = pos[lo : hi + 1]
         if m_hi > last:
             tail = np.arange(max(lo, last + 1), m_hi + 1)
             out[tail[0] - m_lo :] = 1.0 - q ** (2.0 * tail + 2.0) / d1
@@ -105,20 +107,18 @@ def lattice_jv_table(params: QParams, m_lo: int, m_hi: int) -> np.ndarray:
         g = max((2 * start + 2 - 2.0 * v) * lg, math.log2((2.0 + p2v) / p2v)) + 2.0
         limit = math.ldexp(1.0, 1020 - math.ceil(g))
         one_p, inv = 1.0 + p2v, 1.0 / p2v
-        # j at exponent start + i is chain[i] * 2**shift (up to one global
-        # scale), shift being the sum of the rescales made before entry i
-        chain, cuts, shifts = [0.0, 1.0], [0], [0]
-        x0, x1 = 0.0, 1.0
+        # j at exponent start + i is chain[i] * 2**shift[i] (up to one global
+        # scale), shift[i] being the sum of the rescales made before entry i
+        chain, shift = [0.0, 1.0], [0, 0]
+        x0, x1, s = 0.0, 1.0, 0
         for m in range(start, m_ref - 1):
             x0, x1 = x1, (x1 * (one_p - q ** (2 * m + 2)) - x0) * inv
             chain.append(x1)
+            shift.append(s)
             if not -limit <= x1 <= limit:
                 x1, e = math.frexp(x1)
                 x0 = math.ldexp(x0, -e)
-                cuts.append(len(chain))
-                shifts.append(shifts[-1] + e)
-        cuts.append(len(chain))
-        shift = np.repeat(shifts, [b - a for a, b in zip(cuts, cuts[1:])])
+                s += e
         ref = m_ref - start
         mant_ref, e_ref = math.frexp(chain[ref])
         if mant_ref == 0.0:
@@ -126,7 +126,7 @@ def lattice_jv_table(params: QParams, m_lo: int, m_hi: int) -> np.ndarray:
         kept = slice(m_lo - start, min(0, m_hi + 1) - start)
         mant, expo = np.frexp(chain[kept])
         mt, e = np.frexp(mant * (pos[m_ref] / mant_ref))
-        e += expo + shift[kept] - (shift[ref] + e_ref)
+        e += expo + np.array(shift[kept]) - (shift[ref] + e_ref)
         mt[e < _MIN_EXP] = 0.0
         if np.any(mt[e > 1024]):
             raise OverflowError("scaled chain value exceeds double range")

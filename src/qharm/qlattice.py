@@ -168,9 +168,10 @@ def hahn_exton_jv_detail(z: float, q_base: float, v: float) -> JvResult:
 def _jv_denom_floor(q_base: float, v: float) -> float:
     """(q;q)_inf (q^{v+1};q)_inf, which bounds the series denominators from
     below; a kernel table reads it from :class:`QParams` instead."""
-    return abs(q_pochhammer_infinite(q_base, q_base)) * abs(
-        q_pochhammer_infinite(q_base ** (v + 1.0), q_base)
-    )
+    poch_q, poch_qv = q_pochhammer_infinite(
+        np.array([q_base, q_base ** (v + 1.0)]), q_base
+    ).tolist()
+    return abs(poch_q) * abs(poch_qv)
 
 
 def _jv_series(z: float, q_base: float, v: float, denom_floor: float) -> JvResult:

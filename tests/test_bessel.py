@@ -150,6 +150,16 @@ class TestLatticeTable:
             hahn_exton_jv(0.25, 0.25, 0.0), rel=1e-14
         )
 
+    @pytest.mark.parametrize(
+        "q, v, m_lo, m_hi",
+        [(0.5, 0.0, 20, 60), (0.5, -0.5, 30, 31), (0.9, 1.5, 100, 160), (0.5, 0.0, 10, 20)],
+    )
+    def test_window_above_the_recurrence_run(self, q, v, m_lo, m_hi):
+        # windows starting above, or straddling, the last recurrence entry
+        tab = lattice_jv_table(QParams(q=q, v=v), m_lo, m_hi)
+        want = [hahn_exton_jv(q ** m, q * q, v) for m in range(m_lo, m_hi + 1)]
+        np.testing.assert_allclose(tab, want, rtol=1e-14, atol=0.0)
+
     def test_envelope_constant_for_nonnegative_m(self, params):
         env = bessel_bound_envelope(params, np.array([0, 5, 50]))
         assert np.allclose(env, params.bessel_bound_constant)
