@@ -6,7 +6,6 @@ All output is deterministic for fixed inputs and flags.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import List, Optional, Tuple
 
@@ -195,7 +194,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
         "witness": list(report.witness) if report.witness else None,
         "verdict": report.verdict,
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
+    _emit(report_to_json(payload), args.output)
     return 0 if report.witness is None else 1
 
 
@@ -216,7 +215,7 @@ def _cmd_positivity(args: argparse.Namespace) -> int:
         if verdict.witness is None
         else [{"re": z.real, "im": z.imag} for z in np.asarray(verdict.witness, dtype=complex)],
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
+    _emit(report_to_json(payload), args.output)
     return 0 if verdict.positive else 1
 
 

@@ -3,13 +3,15 @@
 CSV layout: header ``n,x,re,im``, one row per lattice point with n ascending,
 and optionally one trailing row with an empty n field and x=0 carrying the
 value at the origin.  Output formatting is fixed (repr of the float fields),
-so identical data always produces identical bytes.
+so identical data always produces identical bytes.  JSON reports are strict
+JSON: a non-finite float is written as the string "inf", "-inf" or "nan".
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
+import math
 from dataclasses import is_dataclass, fields as dataclass_fields
 from typing import Any, Optional, TextIO
 
@@ -124,20 +126,21 @@ def _jsonable(obj: Any) -> Any:
     if isinstance(obj, np.ndarray):
         return [_jsonable(x) for x in obj.tolist()]
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+        return {"re": _jsonable(obj.real), "im": _jsonable(obj.imag)}
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        return x if math.isfinite(x) else repr(x)  # "inf", "-inf" or "nan"
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     if isinstance(obj, slice):
         return {"start": obj.start, "stop": obj.stop}
-    if obj is None or isinstance(obj, (bool, int, float, str)):
+    if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     return str(obj)
 
 
 def report_to_json(report: Any) -> str:
-    """Deterministic JSON rendering of a report dataclass."""
-    return json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
+    """Deterministic, strict JSON rendering of a report dataclass or dict."""
+    return json.dumps(_jsonable(report), indent=2, sort_keys=True, allow_nan=False) + "\n"

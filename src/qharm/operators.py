@@ -21,7 +21,13 @@ from .qlattice import (
     q_exponential,
     q_pochhammer_infinite,
 )
-from .transform import TransformTable, build_transform_table, fourier_transform
+from .transform import (
+    TransformTable,
+    _at_zero,
+    _transform_rows,
+    build_transform_table,
+    fourier_transform,
+)
 
 # a scanned D_v value below -DEFAULT_PROBE_TOL is reported as negativity
 DEFAULT_PROBE_TOL = 1e-10
@@ -49,15 +55,18 @@ def translation(
 
 
 def all_translations(
-    f: LatticeFunction, exponents: Sequence[int], table: TransformTable
+    values: np.ndarray, exponents: Sequence[int], table: TransformTable
 ) -> np.ndarray:
     """Columns T_{x_i} f for x_i = q^{exponents[i]}, as one matrix product.
 
     Column i is F(F f . j_v(x_i .)), the translation route of
-    :func:`translation`, evaluated for every requested point at once.
+    :func:`translation`, evaluated for every requested point at once.  The
+    values of one f give an (N, X) matrix; a (K, N) stack of them gives a
+    (K, N, X) stack from one stacked product, slab k equal to the matrix of
+    row k alone bit for bit.
     """
-    ff = fourier_transform(f, table)
-    return table.kernel_matrix @ (ff.values[:, None] * table.rows(exponents).T)
+    ff = _transform_rows(values, table)
+    return table.kernel_matrix @ (ff[..., :, None] * table.rows(exponents).T)
 
 
 def translation_kernel(
@@ -121,18 +130,23 @@ def convolution(
         raise LatticeMismatchError("operands must live on the table lattice")
     params = table.params
     if route == "spectral":
-        ff = fourier_transform(f, table)
-        gg = fourier_transform(g, table)
-        prod = LatticeFunction(table.lattice, ff.values * gg.values)
-        return fourier_transform(prod, table)
+        out, at_zero = _spectral_convolution(f.values, g.values, table)
+        return LatticeFunction(table.lattice, out, value_at_zero=at_zero)
     if route == "direct":
         lat = table.lattice
-        shifted = all_translations(f, lat.indices, table)
+        shifted = all_translations(f.values, lat.indices, table)
         out = params.c_qv * (1.0 - params.q) * ((table.weights * g.values) @ shifted)
         if f.is_real and g.is_real:
             out = out.real
         return LatticeFunction(lat, out)
     raise ValueError(f"unknown route {route!r}")
+
+
+def _spectral_convolution(f_values: np.ndarray, g_values: np.ndarray, table: TransformTable):
+    """The spectral route of :func:`convolution`, F(F f . F g), for one pair
+    of (N,) vectors or row by row for two (K, N) stacks, with its value at 0."""
+    prod = _transform_rows(f_values, table) * _transform_rows(g_values, table)
+    return _transform_rows(prod, table), _at_zero(table.weights * prod, table)
 
 
 @dataclass(frozen=True)
@@ -217,15 +231,7 @@ def gauss_delta_limit_check(
     """
     if f.value_at_zero is None:
         raise ValueError("f must have value_at_zero set")
-    params = table.params
-    lat = table.lattice
-    w = table.weights
-    integrals = []
-    for a in a_sequence:
-        g = gauss_kernel_function(a * a, params, lat).values
-        integrals.append(
-            params.c_qv * (1.0 - params.q) * complex(np.sum(w * f.values * g))
-        )
+    integrals = [complex(x) for x in _gauss_limit_integrals(f.values, a_sequence, table)]
     target = f.value_at_zero
     vals = tuple(x.real if abs(x.imag) == 0.0 else x for x in integrals)
     dev = abs(integrals[-1] - target) if integrals else abs(target)
@@ -235,6 +241,21 @@ def gauss_delta_limit_check(
         target=target,
         final_deviation=float(dev),
     )
+
+
+def _gauss_limit_integrals(
+    values: np.ndarray, a_sequence: Sequence[float], table: TransformTable
+) -> np.ndarray:
+    """c int f(x) G^v(x, a^2) x^{2v+1} d_qx for each width a, as the last
+    axis, for one (N,) vector or each row of a (K, N) stack; each Gauss
+    kernel is built once for the whole stack."""
+    params = table.params
+    weighted = table.weights * values
+    out = np.empty(values.shape[:-1] + (len(a_sequence),), complex)
+    for i, a in enumerate(a_sequence):
+        g = gauss_kernel_function(a * a, params, table.lattice).values
+        out[..., i] = params.c_qv * (1.0 - params.q) * np.sum(weighted * g, axis=-1)
+    return out
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,16 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import LatticeMismatchError
-from .qlattice import LatticeFunction, QLattice, QParams, lp_norm
+from .qlattice import LatticeFunction, QLattice, QParams, _lp_norms, lp_norm
 from .transform import (
     TransformTable,
+    _check_lattice,
+    _transform_rows,
     clean_inversion_range,
     fourier_transform,
     interior_slice,
 )
-from .operators import all_translations, convolution
+from .operators import _spectral_convolution, all_translations
 
 DEFAULT_PSD_TOL = 1e-9
 
@@ -162,12 +164,15 @@ class GridSweepReport:
         return all(v.positive for v in self.verdicts)
 
 
-def _grid_sweep(fn: LatticeFunction, table: TransformTable, tol: float) -> GridSweepReport:
-    """PSD verdicts for fn on the default grid plus 4 grids drawn with seed 0.
+def _grid_sweep(
+    spectrum: np.ndarray, table: TransformTable, tol: float
+) -> Union[GridSweepReport, List[GridSweepReport]]:
+    """PSD verdicts on the default grid plus 4 grids drawn with seed 0, from
+    the spectrum F fn; every grid is a quadratic form in that spectrum.
 
-    fn is transformed once; every grid is a quadratic form in that spectrum.
+    A (K, N) stack of spectra gives K reports from one stacked ``eigh`` per
+    grid.
     """
-    spectrum = fourier_transform(fn, table).values
     lat = table.lattice
     rng = np.random.default_rng(0)
     grids = [default_point_exponents(table)]
@@ -175,16 +180,18 @@ def _grid_sweep(fn: LatticeFunction, table: TransformTable, tol: float) -> GridS
     for _ in range(4):
         size = int(rng.integers(3, min(9, pool.size)))
         grids.append(sorted(int(n) for n in rng.choice(pool, size=size, replace=False)))
-    return GridSweepReport(
-        verdicts=tuple(_spectral_verdict(spectrum, g, table, tol) for g in grids)
-    )
+    per_grid = [_spectral_verdict(spectrum, g, table, tol) for g in grids]
+    if spectrum.ndim == 1:
+        return GridSweepReport(verdicts=tuple(per_grid))
+    return [GridSweepReport(verdicts=v) for v in zip(*per_grid)]
 
 
 def verify_transform_positive_type(
     phi: LatticeFunction, table: TransformTable, tol: float = DEFAULT_PSD_TOL
 ) -> GridSweepReport:
     """Run the PSD test on F phi over the default grid plus sampled grids."""
-    return _grid_sweep(fourier_transform(phi, table), table, tol)
+    spectrum = fourier_transform(fourier_transform(phi, table), table).values
+    return _grid_sweep(spectrum, table, tol)
 
 
 @dataclass(frozen=True)
@@ -201,15 +208,22 @@ def verify_quadratic_form_positivity(
     tol: float = DEFAULT_PSD_TOL,
 ) -> QuadraticFormReport:
     """<phi * f, f> in the x^{2v+1}-weighted inner product."""
-    conv = convolution(phi, f, table, route="spectral")
-    w = table.weights
-    val = complex((1.0 - table.params.q) * np.sum(w * conv.values * np.conj(f.values)))
-    scale = max(
-        1.0,
-        lp_norm(f, 2.0, table.params) ** 2 * float(np.abs(phi.values).max(initial=0.0)),
-    )
+    phi.same_window(f)
+    _check_lattice(phi, table)
+    val, scale = _quadratic_forms(phi.values, f.values, table)
+    val, scale = complex(val), float(scale)
     ok = val.real >= -tol * scale and abs(val.imag) <= max(tol * scale, 1e-9 * scale)
     return QuadraticFormReport(value=val, scale=scale, nonnegative=bool(ok))
+
+
+def _quadratic_forms(phi_values: np.ndarray, f_values: np.ndarray, table: TransformTable):
+    """(<phi * f, f>, its scale) of :func:`verify_quadratic_form_positivity`
+    for one pair of (N,) vectors or row by row for two (K, N) stacks."""
+    conv = _spectral_convolution(phi_values, f_values, table)[0]
+    val = (1.0 - table.params.q) * np.sum(table.weights * conv * np.conj(f_values), axis=-1)
+    norm = _lp_norms(f_values, table.lattice, 2.0, table.params)
+    scale = np.maximum(1.0, norm ** 2 * np.abs(phi_values).max(axis=-1, initial=0.0))
+    return val, scale
 
 
 @dataclass(frozen=True)
@@ -223,11 +237,15 @@ def verify_nonneg_spectrum(
     phi: LatticeFunction, table: TransformTable, tol: float = DEFAULT_PSD_TOL
 ) -> SpectrumReport:
     """Min of F phi over the window against -tol * sup |F phi|."""
-    ff = fourier_transform(phi, table)
-    re = ff.values.real
-    sup = float(np.abs(ff.values).max())
-    mn = float(re.min())
+    _check_lattice(phi, table)
+    mn, sup = (float(x) for x in _spectrum_extremes(phi.values, table))
     return SpectrumReport(min_value=mn, sup_value=sup, nonnegative=bool(mn >= -tol * max(sup, 1e-300)))
+
+
+def _spectrum_extremes(values: np.ndarray, table: TransformTable):
+    """(min Re F phi, sup |F phi|) per row."""
+    ff = _transform_rows(values, table)
+    return ff.real.min(axis=-1), np.abs(ff).max(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -248,18 +266,28 @@ def verify_l1_spectrum_mass(
     """
     if phi.value_at_zero is None:
         raise ValueError("phi must carry value_at_zero")
-    ff = fourier_transform(phi, table)
-    w = table.weights
-    q = table.params.q
-    c = table.params.c_qv
-    signed = complex(c * (1.0 - q) * np.sum(w * ff.values))
-    absolute = float(c * (1.0 - q) * np.sum(w * np.abs(ff.values)))
+    _check_lattice(phi, table)
     target = complex(phi.value_at_zero)
-    denom = max(abs(target), 1e-300)
-    err = max(abs(signed - target), abs(absolute - abs(target))) / denom
+    absolute, signed, err = _spectrum_masses(phi.values, target, table)
     return SpectrumMassReport(
-        absolute_mass=absolute, signed_mass=signed, target=target, max_relative_error=err
+        absolute_mass=float(absolute),
+        signed_mass=complex(signed),
+        target=target,
+        max_relative_error=float(err),
     )
+
+
+def _spectrum_masses(values: np.ndarray, targets, table: TransformTable):
+    """(absolute mass, signed mass, relative error) of
+    :func:`verify_l1_spectrum_mass` per row, against the targets phi(0)."""
+    ff = _transform_rows(values, table)
+    w = table.weights
+    scale = table.params.c_qv * (1.0 - table.params.q)
+    signed = scale * np.sum(w * ff, axis=-1)
+    absolute = scale * np.sum(w * np.abs(ff), axis=-1)
+    size = np.abs(targets)
+    err = np.maximum(np.abs(signed - targets), np.abs(absolute - size))
+    return absolute, signed, err / np.maximum(size, 1e-300)
 
 
 @dataclass(frozen=True)
@@ -299,7 +327,8 @@ def product_positive_type_check(
 ) -> GridSweepReport:
     """PSD sweep of the product phi . F(f_nonneg)."""
     ff = fourier_transform(f_nonneg, table)
-    return _grid_sweep(LatticeFunction(table.lattice, phi.values * ff.values), table, tol)
+    product = LatticeFunction(table.lattice, phi.values * ff.values)
+    return _grid_sweep(fourier_transform(product, table).values, table, tol)
 
 
 @dataclass
@@ -353,18 +382,26 @@ def measure_convolution(
     must be judged.  The translations T_u f are computed only at the points
     u that carry xi mass, as one matrix product.
     """
+    _check_lattice(f, table)
+    total, scale = _measure_convolutions(xi, rho, f.values, table)
+    if with_scale:
+        return complex(total), float(scale)
+    return complex(total)
+
+
+def _measure_convolutions(xi: QMeasure, rho: QMeasure, values: np.ndarray, table: TransformTable):
+    """(double sum, all-absolute double sum) of :func:`measure_convolution`
+    for one (N,) vector f, or for each row of a (K, N) stack from one stack
+    of translations."""
     if xi.lattice != table.lattice or rho.lattice != table.lattice:
         raise LatticeMismatchError("measures must live on the table lattice")
     q = table.params.q
     w = table.weights
     support = np.flatnonzero(xi.weights != 0.0)
-    shifted = all_translations(f, table.lattice.indices[support], table)
+    shifted = all_translations(values, table.lattice.indices[support], table)
     outer = (1.0 - q) ** 2 * (w * rho.weights)
     inner = (w * xi.weights)[support]
-    total = complex(outer @ shifted @ inner)
-    if with_scale:
-        return total, float(outer @ np.abs(shifted) @ inner)
-    return total
+    return outer @ shifted @ inner, outer @ np.abs(shifted) @ inner
 
 
 def measure_product_identity_error(
@@ -385,21 +422,19 @@ def measure_product_identity_error(
     f_rho = measure_fourier_transform(rho, table)
     w = table.weights
     # probing relies on a double transform of the Bessel row, so only the
-    # cleanly invertible exponents are sampled
+    # cleanly invertible exponents are sampled; all probes are translated
+    # as one stack
     lo, hi = clean_inversion_range(lat)
     idx = np.arange(lo, hi + 1)
-    worst = 0.0
-    step = max(1, len(idx) // 12)
-    for n in idx[::step]:
-        row = table.jv_row(int(n))
-        probe = LatticeFunction(lat, row.copy())
-        lhs = measure_convolution(xi, rho, probe, table)
-        rhs = f_xi.at_index(int(n)) * f_rho.at_index(int(n))
-        abs_row = np.abs(row)
-        scale_xi = (1.0 - q) * float(np.sum(w * xi.weights * abs_row))
-        scale_rho = (1.0 - q) * float(np.sum(w * rho.weights * abs_row))
-        worst = max(worst, abs(lhs - rhs) / max(1.0, scale_xi * scale_rho))
-    return worst
+    probes = idx[:: max(1, len(idx) // 12)]
+    rows = table.rows(probes)
+    lhs = _measure_convolutions(xi, rho, rows, table)[0]
+    at = probes - lat.n_min
+    rhs = f_xi.values[at] * f_rho.values[at]
+    abs_rows = np.abs(rows)
+    scale_xi = (1.0 - q) * np.sum(w * xi.weights * abs_rows, axis=-1)
+    scale_rho = (1.0 - q) * np.sum(w * rho.weights * abs_rows, axis=-1)
+    return float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, scale_xi * scale_rho), initial=0.0))
 
 
 def _cutoff_factors(lat: QLattice, levels) -> np.ndarray:

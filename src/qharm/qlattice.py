@@ -20,6 +20,8 @@ Complex = Union[float, complex]
 # truncation of every q-product and q-series loop below, read at call time
 DEFAULT_TRUNC_TOL = 1e-18
 DEFAULT_MAX_TERMS = 10000
+# each (factor, point) block of the array q-exponential stays under this
+_Q_EXP_BLOCK_BYTES = 1 << 16
 
 
 def q_pochhammer_finite(a: Complex, q: float, n: int) -> Complex:
@@ -96,49 +98,48 @@ def q_exponential(z: Complex, q: float) -> Complex:
 
 
 def _q_exponential_array(z: np.ndarray, q: float) -> np.ndarray:
-    """The scalar product loop of :func:`q_exponential`, run for all points
-    at once: one pass over the factor index, vectorised across the points.
-
-    Each point keeps its own running magnitude, truncation test and pole
-    check, so its product is the same sequence of float operations as the
-    scalar loop.  Points are visited in order of decreasing |z|: a point
-    needs more factors the larger |z| is, so the points still multiplying
-    always form a prefix of that order and each step works on views.
+    """The scalar loop of :func:`q_exponential` for all points at once: one
+    product over (factor, point) blocks of at most _Q_EXP_BLOCK_BYTES, each
+    reduced down its factor axis with the running product as its first row.
+    A point's mask drops factor i once its running |z| q.q...q is below
+    DEFAULT_TRUNC_TOL, so it gets the loop's float operations; the count of
+    the largest |z| is taken first, so TruncationCapError precedes any block.
     """
-    flat = z.ravel()
-    order = np.argsort(-np.abs(flat), kind="stable")
-    zs = flat[order].astype(np.result_type(flat.dtype, float), copy=False)
-    mags = np.abs(zs)
-    denom = np.ones_like(zs)
-    # for real z <= 0 every factor is at least max(1, |z| q^i), so the pole
-    # test cannot fire; it is evaluated only when some point can reach a pole
-    pole_possible = np.iscomplexobj(zs) or bool((zs > 0.0).any())
-    active = zs.size
-    # a float denominator overflows to inf (value 0) exactly as the scalar
-    # loop's Python floats do; numpy would only add a warning
-    with np.errstate(over="ignore"):
-        for i in range(DEFAULT_MAX_TERMS):
-            while active and mags[active - 1] < DEFAULT_TRUNC_TOL:
-                active -= 1
-            if not active:
-                out = np.empty_like(denom)
-                out[order] = 1.0 / denom
-                return out.reshape(z.shape)
-            mag = mags[:active]
-            factor = 1.0 - zs[:active] * (q ** i)
+    # numpy's complex arithmetic rounds unlike Python's: use Python numbers
+    dtype = complex if np.iscomplexobj(z) else float
+    zs = z.ravel().astype(object if dtype is complex else float, copy=False)
+    mag = np.abs(zs)
+    n, top = 0, float(mag.max(initial=0.0))
+    while not top < DEFAULT_TRUNC_TOL and n < DEFAULT_MAX_TERMS:  # NaN never ends
+        top *= q
+        n += 1
+    if n >= DEFAULT_MAX_TERMS:
+        raise TruncationCapError(
+            f"e(z,q) product did not reach tolerance {DEFAULT_TRUNC_TOL} "
+            f"within {DEFAULT_MAX_TERMS} factors"
+        )
+    # for real z <= 0 no factor nears 0 and one past its point's count rounds
+    # to 1, so the pole test and the mask run only where they can act
+    pole_possible = dtype is complex or bool((z > 0.0).any())
+    rows = max(1, _Q_EXP_BLOCK_BYTES // (zs.itemsize * max(zs.size, 1)))
+    denom = np.full((1, zs.size), 1.0, zs.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, as Python gives
+        for start in range(0, n, rows):
+            powers = np.array([q ** i for i in range(start, min(start + rows, n))])
+            factors = 1.0 - zs * powers[:, None]
             if pole_possible:
-                near = np.abs(factor) < 1e-12 * (1.0 + mag)
+                mags = np.full(factors.shape, q)
+                mags[0] = mag
+                np.multiply.accumulate(mags, out=mags)
+                near = np.abs(factors) < 1e-12 * (1.0 + mags)
                 if near.any():
-                    bad = zs[int(np.argmax(near))]
-                    raise PoleProximityError(
-                        f"z={bad} is within tolerance of the pole q^-{i}"
-                    )
-            denom[:active] *= factor
-            mag *= q
-    raise TruncationCapError(
-        f"e(z,q) product did not reach tolerance {DEFAULT_TRUNC_TOL} "
-        f"within {DEFAULT_MAX_TERMS} factors"
-    )
+                    i, j = divmod(int(np.argmax(near)), zs.size)
+                    bad = f"z={zs[j]} is within tolerance of the pole q^-{start + i}"
+                    raise PoleProximityError(bad)
+                factors[mags < DEFAULT_TRUNC_TOL] = 1.0
+                mag = mags[-1] * q
+            denom = np.multiply.reduce(np.vstack([denom, factors]), keepdims=True)
+        return (1.0 / denom).astype(dtype).reshape(z.shape)
 
 
 class JvResult(NamedTuple):
@@ -370,11 +371,16 @@ def lp_norm(f: LatticeFunction, p: float, params: QParams) -> float:
     The measure weight x^{2v+1} merged with the Jackson weight x gives the
     q^{n(2v+2)} factor.
     """
+    return float(_lp_norms(f.values, f.lattice, p, params))
+
+
+def _lp_norms(values: np.ndarray, lattice: QLattice, p: float, params: QParams):
+    """:func:`lp_norm` of each row of a (K, N) stack, or of one (N,) vector."""
     if p < 1.0:
         raise ValueError(f"p must be at least 1, got {p}")
-    q = f.lattice.q
-    w = q ** ((2.0 * params.v + 2.0) * f.lattice.indices.astype(float))
-    total = float((w * np.abs(f.values) ** p).sum())
+    q = lattice.q
+    w = q ** ((2.0 * params.v + 2.0) * lattice.indices.astype(float))
+    total = (w * np.abs(values) ** p).sum(axis=-1)
     return ((1.0 - q) * total) ** (1.0 / p)
 
 

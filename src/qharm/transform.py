@@ -16,7 +16,7 @@ import numpy as np
 
 from .bessel import bessel_bound_envelope, lattice_jv_table
 from .errors import LatticeMismatchError
-from .qlattice import DEFAULT_TRUNC_TOL, LatticeFunction, QLattice, QParams, lp_norm
+from .qlattice import DEFAULT_TRUNC_TOL, LatticeFunction, QLattice, QParams, _lp_norms
 
 BOUND_SLACK = 1e-9
 
@@ -129,6 +129,29 @@ def fourier_transform(f: LatticeFunction, table: TransformTable) -> LatticeFunct
     return fourier_transform_detail(f, table).function
 
 
+# The private helpers below take a stack of functions as a (K, N) array, one
+# function per row, or a single (N,) vector; for a vector each gives the
+# result of the one-function route bit for bit.  The first three are
+# :func:`fourier_transform_detail` for a stack, whose per-call path keeps
+# its scalar code.
+
+
+def _transform_rows(values: np.ndarray, table: TransformTable) -> np.ndarray:
+    """F of every row: one product with the kernel matrix for the stack."""
+    return (table.kernel_matrix @ values.T).T
+
+
+def _at_zero(weighted: np.ndarray, table: TransformTable) -> np.ndarray:
+    """F f(0) from the weighted rows q^{n(2v+2)} f(q^n): the j_v(0)=1 limit."""
+    return table.params.c_qv * (1.0 - table.params.q) * weighted.sum(axis=-1)
+
+
+def _edge_warning(weighted: np.ndarray) -> np.ndarray:
+    """Whether a weighted summand at either window end exceeds DEFAULT_TRUNC_TOL."""
+    tol = DEFAULT_TRUNC_TOL
+    return (np.abs(weighted[..., 0]) > tol) | (np.abs(weighted[..., -1]) > tol)
+
+
 def delta_qv(x_exponent: int, y_exponent: int, params: QParams) -> float:
     """Reproducing diagonal weight: 0 off-diagonal, 1/((1-q) x^{2v+2}) on it."""
     if x_exponent != y_exponent:
@@ -168,17 +191,26 @@ class InversionReport:
 
 def verify_inversion(f: LatticeFunction, table: TransformTable) -> InversionReport:
     """Max deviation of F(F f) from f on the interior sub-window."""
-    first = fourier_transform_detail(f, table)
-    second = fourier_transform_detail(first.function, table)
-    sl = interior_slice(table.lattice)
-    diff = np.abs(second.function.values[sl] - f.values[sl])
-    scale = float(np.abs(f.values).max())
-    err = float(diff.max()) / scale if scale > 0.0 else float(diff.max()) if diff.size else 0.0
+    _check_lattice(f, table)
+    err, edge = _inversion_errors(f.values, table)
     return InversionReport(
-        max_interior_error=err,
-        interior=sl,
-        edge_warning=first.edge_warning or second.edge_warning,
+        max_interior_error=float(err),
+        interior=interior_slice(table.lattice),
+        edge_warning=bool(edge),
     )
+
+
+def _inversion_errors(values: np.ndarray, table: TransformTable):
+    """(interior error, edge warning) of :func:`verify_inversion` per row;
+    the error is relative to the row's sup, absolute for a zero row."""
+    first = _transform_rows(values, table)
+    second = _transform_rows(first, table)
+    sl = interior_slice(table.lattice)
+    diff = np.abs(second[..., sl] - values[..., sl]).max(axis=-1)
+    scale = np.abs(values).max(axis=-1)
+    err = diff / np.where(scale > 0.0, scale, 1.0)
+    w = table.weights
+    return err, _edge_warning(w * values) | _edge_warning(w * first)
 
 
 @dataclass(frozen=True)
@@ -189,12 +221,16 @@ class PlancherelReport:
 
 
 def verify_plancherel(f: LatticeFunction, table: TransformTable) -> PlancherelReport:
-    ff = fourier_transform(f, table)
-    n_in = lp_norm(f, 2.0, table.params)
-    n_out = lp_norm(ff, 2.0, table.params)
-    if n_in == 0.0:
-        return PlancherelReport(n_in, n_out, abs(n_out - n_in))
-    return PlancherelReport(n_in, n_out, abs(n_out - n_in) / n_in)
+    _check_lattice(f, table)
+    return PlancherelReport(*(float(x) for x in _plancherel_errors(f.values, table)))
+
+
+def _plancherel_errors(values: np.ndarray, table: TransformTable):
+    """(||f||_2, ||F f||_2, error) of :func:`verify_plancherel` per row."""
+    n_in = _lp_norms(values, table.lattice, 2.0, table.params)
+    n_out = _lp_norms(_transform_rows(values, table), table.lattice, 2.0, table.params)
+    err = np.abs(n_out - n_in) / np.where(n_in == 0.0, 1.0, n_in)
+    return n_in, n_out, err
 
 
 @dataclass(frozen=True)
@@ -208,19 +244,25 @@ class OrthogonalityReport:
 
 def verify_orthogonality(n: int, m: int, table: TransformTable) -> OrthogonalityReport:
     """Window Jackson sum of c^2 int j_v(q^n x) j_v(q^m x) x^{2v+1} d_qx."""
+    values, targets = _orthogonality_values([n], [m], table)
+    value, target = float(values[0, 0]), float(targets[0, 0])
+    return OrthogonalityReport(n=n, m=m, value=value, target=target, error=abs(value - target))
+
+
+def _orthogonality_values(ns, ms, table: TransformTable):
+    """(values, targets) of :func:`verify_orthogonality` for every pair
+    (ns[i], ms[j]): the window sums of the weighted row products, each
+    summed along its own row, and the diagonal norms."""
     lat = table.lattice
-    if not (
-        2 * lat.n_min <= n + lat.n_min and n + lat.n_max <= 2 * lat.n_max
-    ) or not (2 * lat.n_min <= m + lat.n_min and m + lat.n_max <= 2 * lat.n_max):
+    if any(not lat.n_min <= n <= lat.n_max for n in (*ns, *ms)):
         raise ValueError("n or m pushes the kernel outside the tabulated range")
     params = table.params
     q = params.q
-    integrand = table.weights * table.jv_row(n) * table.jv_row(m)
-    value = params.c_qv ** 2 * (1.0 - q) * float(integrand.sum())
-    target = (
-        q ** (-2.0 * n * (params.v + 1.0)) / (1.0 - q) if n == m else 0.0
-    )
-    return OrthogonalityReport(n=n, m=m, value=value, target=target, error=abs(value - target))
+    integrand = (table.weights * table.rows(ns))[:, None, :] * table.rows(ms)[None, :, :]
+    values = params.c_qv ** 2 * (1.0 - q) * integrand.sum(axis=-1)
+    norms = {n: q ** (-2.0 * n * (params.v + 1.0)) / (1.0 - q) for n in ns}
+    targets = np.array([[norms[n] if n == m else 0.0 for m in ms] for n in ns])
+    return values, targets
 
 
 @dataclass(frozen=True)
@@ -232,9 +274,13 @@ class L1BoundReport:
 
 def verify_l1_bound(f: LatticeFunction, table: TransformTable) -> L1BoundReport:
     """sup |F f| against B_qv ||f||_1 on the window."""
-    ff = fourier_transform(f, table)
-    sup = float(np.abs(ff.values).max())
-    if ff.value_at_zero is not None:
-        sup = max(sup, abs(ff.value_at_zero))
-    bound = table.params.B_qv * lp_norm(f, 1.0, table.params)
+    _check_lattice(f, table)
+    sup, bound = (float(x) for x in _l1_bounds(f.values, table))
     return L1BoundReport(sup, bound, sup <= bound * (1.0 + BOUND_SLACK) + 1e-300)
+
+
+def _l1_bounds(values: np.ndarray, table: TransformTable):
+    """(sup |F f| with F f(0) included, B_qv ||f||_1) per row."""
+    sup = np.abs(_transform_rows(values, table)).max(axis=-1)
+    sup = np.maximum(sup, np.abs(_at_zero(table.weights * values, table)))
+    return sup, table.params.B_qv * _lp_norms(values, table.lattice, 1.0, table.params)

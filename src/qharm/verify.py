@@ -16,36 +16,44 @@ import numpy as np
 from .qlattice import LatticeFunction, QLattice, QParams
 from .transform import (
     TransformTable,
+    _at_zero,
+    _inversion_errors,
+    _l1_bounds,
+    _orthogonality_values,
+    _plancherel_errors,
+    _transform_rows,
     build_transform_table,
     fourier_transform,
     interior_slice,
-    verify_inversion,
-    verify_l1_bound,
-    verify_orthogonality,
-    verify_plancherel,
 )
 from .bessel import bessel_bound_envelope
 from .operators import (
+    _gauss_limit_integrals,
+    _spectral_convolution,
+    all_translations,
     convolution,
     gauss_kernel_function,
-    gauss_delta_limit_check,
-    translation,
     translation_kernel_matrix,
     young_inequality_check,
 )
 from .positivity import (
     QMeasure,
+    _grid_sweep,
+    _quadratic_forms,
+    _spectral_verdict,
+    _spectrum_extremes,
+    _spectrum_masses,
     bochner_reconstruct,
-    is_q_positive_type,
     measure_product_identity_error,
-    product_positive_type_check,
-    verify_l1_spectrum_mass,
-    verify_nonneg_spectrum,
-    verify_quadratic_form_positivity,
-    verify_transform_positive_type,
     wiener_membership,
 )
-from .testfunctions import gaussian_density, nonneg_density, random_compact, random_measure_weights
+from .testfunctions import (
+    draw_stacks,
+    gaussian_density,
+    nonneg_density,
+    random_compact,
+    random_measure_weights,
+)
 
 _SEED = 12345
 
@@ -74,12 +82,9 @@ class VerificationSuiteResult:
         return all(e.status in ("pass", "skip") for e in self.entries)
 
 
-def _positive_type_function(
-    table: TransformTable, rng: np.random.Generator
-) -> LatticeFunction:
-    """phi = F(nonnegative density): positive type by construction."""
-    rho = nonneg_density(table.lattice, rng)
-    return fourier_transform(rho, table)
+def _psd_defect(verdicts) -> float:
+    """Largest -lambda_min / scale over PSD verdicts, or 0 when none is negative."""
+    return max([0.0] + [-v.min_eigenvalue / v.scale for v in verdicts])
 
 
 CheckFn = Callable[[TransformTable, float], Tuple[float, str]]
@@ -92,22 +97,19 @@ def _registry() -> List[Tuple[str, float, CheckFn]]:
     measured_error <= tolerance.
     """
 
+    # Statements that draw several functions evaluate them as one (K, N)
+    # stack, one draw per row, with the rng calls of the per-draw generators
+    # in the same order; each stage runs once on the stack through the
+    # private core of the one-function checker.
+
     def prop1(table: TransformTable, tol: float) -> Tuple[float, str]:
-        worst = 0.0
-        detail = ""
-        for n in range(-5, 6):
-            diag = table.params.q ** (-2.0 * n * (table.params.v + 1.0)) / (
-                1.0 - table.params.q
-            )
-            for m in range(-5, 6):
-                rep = verify_orthogonality(n, m, table)
-                scale = diag if n == m else max(
-                    diag, table.params.q ** (-2.0 * m * (table.params.v + 1.0)) / (1.0 - table.params.q)
-                )
-                rel = rep.error / scale
-                if rel > worst:
-                    worst, detail = rel, f"worst at (n,m)=({n},{m})"
-        return worst, detail
+        ns = list(range(-5, 6))
+        values, targets = _orthogonality_values(ns, ns, table)
+        norms = np.diag(targets)
+        rel = np.abs(values - targets) / np.maximum.outer(norms, norms)
+        i, j = np.unravel_index(int(np.argmax(rel)), rel.shape)
+        worst = float(rel[i, j])
+        return worst, f"worst at (n,m)=({ns[i]},{ns[j]})" if worst > 0.0 else ""
 
     def prop2(table: TransformTable, tol: float) -> Tuple[float, str]:
         lat = table.lattice
@@ -118,57 +120,54 @@ def _registry() -> List[Tuple[str, float, CheckFn]]:
 
     def thm1_inv(table: TransformTable, tol: float) -> Tuple[float, str]:
         rng = np.random.default_rng(_SEED)
-        worst = 0.0
-        for _ in range(20):
-            rep = verify_inversion(random_compact(table.lattice, rng), table)
-            worst = max(worst, rep.max_interior_error)
-        return worst, "20 random compact draws, interior sup error"
+        (draws,) = draw_stacks(table.lattice, rng, 20, "compact")
+        errors = _inversion_errors(draws, table)[0]
+        return float(errors.max()), "20 random compact draws, interior sup error"
 
     def thm1_plan(table: TransformTable, tol: float) -> Tuple[float, str]:
         rng = np.random.default_rng(_SEED + 1)
-        worst = 0.0
-        for _ in range(20):
-            rep = verify_plancherel(random_compact(table.lattice, rng), table)
-            worst = max(worst, rep.error)
-        return worst, "20 random compact draws, relative norm error"
+        (draws,) = draw_stacks(table.lattice, rng, 20, "compact")
+        errors = _plancherel_errors(draws, table)[2]
+        return float(errors.max()), "20 random compact draws, relative norm error"
 
     def prop3(table: TransformTable, tol: float) -> Tuple[float, str]:
         rng = np.random.default_rng(_SEED + 2)
-        worst = 0.0
-        for _ in range(20):
-            rep = verify_l1_bound(random_compact(table.lattice, rng), table)
-            worst = max(worst, rep.sup_transform / rep.bound - 1.0)
+        (draws,) = draw_stacks(table.lattice, rng, 20, "compact")
+        sup, bound = _l1_bounds(draws, table)
+        worst = float((sup / bound - 1.0).max())
         return max(worst, 0.0), "max relative excess of sup|Ff| over B ||f||_1"
 
     def prop4(table: TransformTable, tol: float) -> Tuple[float, str]:
         rng = np.random.default_rng(_SEED + 3)
         lat = table.lattice
-        draws = [random_compact(lat, rng) for _ in range(5)]
-        values = np.stack([f.values for f in draws], axis=1)
-        scales = np.maximum(np.abs(values).max(axis=0), 1e-300)
+        (draws,) = draw_stacks(lat, rng, 5, "compact")
+        xs = (-2, 0, 2, 5, 8)
+        # spectral route: every draw translated to every point in one stack;
+        # kernel route: the materialised D-kernel, one (N, N) matrix per point
+        spectral = all_translations(draws, xs, table)
+        weighted = (table.weights * draws).T * (1.0 - table.params.q)
+        scales = np.maximum(np.abs(draws).max(axis=1), 1e-300)
         worst = 0.0
-        for x in (-2, 0, 2, 5, 8):
-            core = translation_kernel_matrix(x, lat.indices, table)
-            by_kernel = core @ (table.weights[:, None] * values) * (1.0 - table.params.q)
-            for j, f in enumerate(draws):
-                spectral = translation(f, x, table).values
-                dev = np.abs(spectral - by_kernel[:, j]).max()
-                worst = max(worst, float(dev / scales[j]))
+        for i, x in enumerate(xs):
+            by_kernel = translation_kernel_matrix(x, lat.indices, table) @ weighted
+            dev = np.abs(spectral[:, :, i] - by_kernel.T).max(axis=1)
+            worst = max(worst, float((dev / scales).max()))
         return worst, "spectral vs kernel translation on 5 draws x 5 points"
 
     def prop5(table: TransformTable, tol: float) -> Tuple[float, str]:
         rng = np.random.default_rng(_SEED + 4)
+        lat = table.lattice
+        fs, gs = draw_stacks(lat, rng, 5, "compact", "compact")
+        spectral = _spectral_convolution(fs, gs, table)[0]
+        sl = interior_slice(lat)
         worst = 0.0
-        sl = interior_slice(table.lattice)
-        for _ in range(5):
-            f = random_compact(table.lattice, rng)
-            g = random_compact(table.lattice, rng)
-            spec = convolution(f, g, table, route="spectral")
-            direct = convolution(f, g, table, route="direct")
-            scale = max(float(np.abs(spec.values).max()), 1e-300)
-            worst = max(
-                worst, float(np.abs(spec.values[sl] - direct.values[sl]).max()) / scale
-            )
+        # the direct double sum keeps one (N, N) translation matrix per pair
+        for f, g, spec in zip(fs, gs, spectral):
+            direct = convolution(
+                LatticeFunction(lat, f), LatticeFunction(lat, g), table, route="direct"
+            ).values
+            scale = max(float(np.abs(spec).max()), 1e-300)
+            worst = max(worst, float(np.abs(spec[sl] - direct[sl]).max()) / scale)
         return worst, "spectral vs direct convolution, 5 pairs, interior"
 
     def prop6_kernel(table: TransformTable, tol: float) -> Tuple[float, str]:
@@ -181,22 +180,14 @@ def _registry() -> List[Tuple[str, float, CheckFn]]:
 
     def prop6_limit(table: TransformTable, tol: float) -> Tuple[float, str]:
         q = table.params.q
-        lat = table.lattice
-        tests = [
-            LatticeFunction(lat, np.ones(lat.size), value_at_zero=1.0),
-            LatticeFunction(
-                lat, (lat.points <= 1.0).astype(float), value_at_zero=1.0
-            ),
-            LatticeFunction(
-                lat, (lat.points <= q ** -3).astype(float), value_at_zero=1.0
-            ),
-        ]
-        # the measured error is each report's final_deviation, at a = q^10
-        a_seq = [q ** 10]
-        worst = 0.0
-        for f in tests:
-            rep = gauss_delta_limit_check(f, a_seq, table)
-            worst = max(worst, rep.final_deviation)
+        points = table.lattice.points
+        # bounded test functions, each with f(0) = 1
+        tests = np.stack(
+            [np.ones(points.size), (points <= 1.0) * 1.0, (points <= q ** -3) * 1.0]
+        )
+        # the measured error is the deviation from f(0) at a = q^10
+        integrals = _gauss_limit_integrals(tests, [q ** 10], table)[:, -1]
+        worst = float(np.abs(integrals - 1.0).max())
         return worst, "delta limit at a=q^10 for bounded test functions"
 
     def thm2(table: TransformTable, tol: float) -> Tuple[float, str]:
@@ -215,11 +206,10 @@ def _registry() -> List[Tuple[str, float, CheckFn]]:
 
     def def1(table: TransformTable, tol: float) -> Tuple[float, str]:
         rng = np.random.default_rng(_SEED + 6)
-        worst = 0.0
-        for _ in range(5):
-            phi = _positive_type_function(table, rng)
-            v = is_q_positive_type(phi, None, table, tol)
-            worst = max(worst, max(0.0, -v.min_eigenvalue / v.scale))
+        # phi = F(nonnegative density): positive type by construction
+        (rho,) = draw_stacks(table.lattice, rng, 5, "nonneg")
+        spectra = _transform_rows(_transform_rows(rho, table), table)
+        worst = _psd_defect(_spectral_verdict(spectra, None, table, tol))
         return worst, "Gram PSD defect for 5 transform-of-density functions"
 
     def prop7(table: TransformTable, tol: float) -> Tuple[float, str]:
@@ -227,52 +217,36 @@ def _registry() -> List[Tuple[str, float, CheckFn]]:
         # is sigma * sigma >= 0) and nonnegative, so F phi is positive type
         # as well; a bare F sigma can have a signed transform image
         rng = np.random.default_rng(_SEED + 7)
-        worst = 0.0
-        for _ in range(3):
-            sigma = nonneg_density(table.lattice, rng)
-            u = fourier_transform(sigma, table)
-            phi = LatticeFunction(
-                table.lattice,
-                u.values ** 2,
-                value_at_zero=complex(u.value_at_zero) ** 2,
-            )
-            rep = verify_transform_positive_type(phi, table, tol)
-            for v in rep.verdicts:
-                worst = max(worst, max(0.0, -v.min_eigenvalue / v.scale))
+        (sigma,) = draw_stacks(table.lattice, rng, 3, "nonneg")
+        phi = _transform_rows(sigma, table) ** 2
+        spectra = _transform_rows(_transform_rows(phi, table), table)
+        worst = _psd_defect(v for r in _grid_sweep(spectra, table, tol) for v in r.verdicts)
         return worst, "PSD defect of Gram matrices of F phi"
 
     def prop8(table: TransformTable, tol: float) -> Tuple[float, str]:
         rng = np.random.default_rng(_SEED + 8)
-        worst = 0.0
-        for _ in range(5):
-            phi = _positive_type_function(table, rng)
-            f = random_compact(table.lattice, rng)
-            rep = verify_quadratic_form_positivity(phi, f, table, tol)
-            worst = max(worst, max(0.0, -rep.value.real / rep.scale))
+        rho, fs = draw_stacks(table.lattice, rng, 5, "nonneg", "compact")
+        value, scale = _quadratic_forms(_transform_rows(rho, table), fs, table)
+        worst = max(0.0, float((-value.real / scale).max()))
         return worst, "negativity defect of <phi*f, f>"
 
     def cor1(table: TransformTable, tol: float) -> Tuple[float, str]:
         rng = np.random.default_rng(_SEED + 9)
-        worst = 0.0
-        for _ in range(5):
-            phi = _positive_type_function(table, rng)
-            rep = verify_nonneg_spectrum(phi, table, tol)
-            worst = max(worst, max(0.0, -rep.min_value / max(rep.sup_value, 1e-300)))
+        (rho,) = draw_stacks(table.lattice, rng, 5, "nonneg")
+        low, sup = _spectrum_extremes(_transform_rows(rho, table), table)
+        worst = max(0.0, float((-low / np.maximum(sup, 1e-300)).max()))
         return worst, "negativity defect of F phi"
 
     def prop9(table: TransformTable, tol: float) -> Tuple[float, str]:
         rng = np.random.default_rng(_SEED + 10)
-        worst = 0.0
-        for _ in range(5):
-            rho = nonneg_density(table.lattice, rng)
-            phi = fourier_transform(rho, table)
-            rep = verify_l1_spectrum_mass(phi, table)
-            worst = max(worst, rep.max_relative_error)
-        return worst, "mass of F phi against phi(0)"
+        (rho,) = draw_stacks(table.lattice, rng, 5, "nonneg")
+        phi_at_zero = _at_zero(table.weights * rho, table)
+        errors = _spectrum_masses(_transform_rows(rho, table), phi_at_zero, table)[2]
+        return float(errors.max()), "mass of F phi against phi(0)"
 
     def cor2(table: TransformTable, tol: float) -> Tuple[float, str]:
         rng = np.random.default_rng(_SEED + 11)
-        phi = _positive_type_function(table, rng)
+        phi = fourier_transform(nonneg_density(table.lattice, rng), table)
         xi = fourier_transform(phi, table)
         rep = wiener_membership(xi, table)
         neg = max(0.0, -float(xi.values.real.min()) / max(float(np.abs(xi.values).max()), 1e-300))
@@ -282,24 +256,18 @@ def _registry() -> List[Tuple[str, float, CheckFn]]:
 
     def prop10(table: TransformTable, tol: float) -> Tuple[float, str]:
         rng = np.random.default_rng(_SEED + 12)
-        worst = 0.0
-        for _ in range(3):
-            phi = _positive_type_function(table, rng)
-            f = nonneg_density(table.lattice, rng)
-            rep = product_positive_type_check(phi, f, table, tol)
-            for v in rep.verdicts:
-                worst = max(worst, max(0.0, -v.min_eigenvalue / v.scale))
+        rho, fs = draw_stacks(table.lattice, rng, 3, "nonneg", "nonneg")
+        products = _transform_rows(rho, table) * _transform_rows(fs, table)
+        spectra = _transform_rows(products, table)
+        worst = _psd_defect(v for r in _grid_sweep(spectra, table, tol) for v in r.verdicts)
         return worst, "PSD defect of phi . F(f) for nonnegative f"
 
     def cor3(table: TransformTable, tol: float) -> Tuple[float, str]:
         rng = np.random.default_rng(_SEED + 13)
-        worst = 0.0
-        for _ in range(3):
-            p1 = _positive_type_function(table, rng)
-            p2 = _positive_type_function(table, rng)
-            prod = LatticeFunction(table.lattice, p1.values * p2.values)
-            v = is_q_positive_type(prod, None, table, tol)
-            worst = max(worst, max(0.0, -v.min_eigenvalue / v.scale))
+        rho1, rho2 = draw_stacks(table.lattice, rng, 3, "nonneg", "nonneg")
+        products = _transform_rows(rho1, table) * _transform_rows(rho2, table)
+        spectra = _transform_rows(products, table)
+        worst = _psd_defect(_spectral_verdict(spectra, None, table, tol))
         return worst, "PSD defect of products of positive-type functions"
 
     def s3_product(table: TransformTable, tol: float) -> Tuple[float, str]:

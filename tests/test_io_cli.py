@@ -90,6 +90,20 @@ class TestCSV:
         f = read_lattice_function(io.StringIO(text), 0.5)
         assert f.lattice.n_min == 0 and f.lattice.n_max == 1
 
+    def test_report_json_non_finite_as_strings(self):
+        payload = {
+            "a": float("inf"),
+            "b": np.float64(-np.inf),
+            "c": np.nan,
+            "z": complex(np.inf, np.nan),
+        }
+        assert _strict_json(report_to_json(payload)) == {
+            "a": "inf",
+            "b": "-inf",
+            "c": "nan",
+            "z": {"re": "inf", "im": "nan"},
+        }
+
     def test_report_json_deterministic(self):
         payload = {"b": 1.0, "a": complex(1, 2), "arr": np.arange(3)}
         assert report_to_json(payload) == report_to_json(payload)
@@ -367,6 +381,40 @@ class TestCLIOptions:
         assert main(["probe-qv", "--q", "0.5"]) == 0
         verdict = json.loads(capsys.readouterr().out)["verdict"]
         assert verdict == f"no negativity detected at tolerance -{DEFAULT_PROBE_TOL:g}"
+
+
+def _strict_json(text):
+    """json.loads that refuses the non-standard constants NaN and Infinity."""
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJSON:
+    def test_failed_verify_prints_strict_json(self, capsys):
+        # both statements fail with an infinite measured error at q = 0.9
+        assert main(["verify", "--q", "0.9", "--only", "Cor2,Thm4-roundtrip"]) == 1
+        entries = _strict_json(capsys.readouterr().out)["entries"]
+        errors = {e["statement_id"]: e["measured_error"] for e in entries}
+        assert errors["Cor2"] == errors["Thm4-roundtrip"] == "inf"
+
+    def test_rejected_bochner_prints_strict_json(self, tmp_path, capsys):
+        from qharm import build_transform_table, fourier_transform
+        from qharm.qlattice import QParams
+
+        lat = QLattice(0.5, -20, 60)
+        table = build_transform_table(QParams(q=0.5), lat)
+        phi = fourier_transform(gaussian_density(table, width_exp=1), table)
+        path = str(tmp_path / "negphi.csv")
+        save_lattice_function(
+            LatticeFunction(lat, -phi.values, value_at_zero=-phi.value_at_zero), path
+        )
+        assert main(["bochner", path]) == 1
+        payload = _strict_json(capsys.readouterr().out)
+        assert payload["accepted"] is False
+        assert payload["reconstruction_error"] == "inf"
 
 
 class TestCLIVerify:

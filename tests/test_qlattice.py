@@ -125,14 +125,65 @@ class TestQExponential:
         val = q_exponential(-3.0, 0.25)
         assert 0.0 < val.real < 1.0
 
-    @pytest.mark.parametrize("q, v, n_min, n_max", [(0.5, 0.0, -20, 60), (0.9, 1.5, -30, 160)])
+    @pytest.mark.parametrize(
+        "q, v, n_min, n_max", [(0.5, 0.0, -20, 60), (0.9, 1.5, -30, 160), (0.95, 0.0, -40, 320)]
+    )
     def test_array_matches_scalar_bitwise(self, q, v, n_min, n_max):
-        # the Gauss kernel arguments -q^{-2v} x^2 / t on a README window
+        # the Gauss kernel arguments -q^{-2v} x^2 / t on the window, then
+        # complex points, positive points (where the pole test and the
+        # truncation mask run), no points and a 2-D array
         x = QLattice(q, n_min, n_max).points
-        for j in range(0, 21, 4):
-            z = -(q ** (-2.0 * v)) * x * x / q ** j
-            loop = np.array([q_exponential(float(s), q * q) for s in z])
-            assert np.array_equal(q_exponential(z, q * q), loop)
+        gauss = [-(q ** (-2.0 * v)) * x * x / q ** j for j in range(0, 21, 4)]
+        rows = x.size // 5
+        for z in gauss + [
+            gauss[0] * (0.3 - 0.8j),
+            (0.2 + 1.1j) * x,
+            0.37 * x,
+            np.where(np.arange(x.size) % 2, 0.37, -2.5) * x,
+            np.array([]),
+            gauss[1][: 5 * rows].reshape(5, rows),
+        ]:
+            got = q_exponential(z, q * q)
+            loop = np.array([q_exponential(s, q * q) for s in z.ravel().tolist()], got.dtype)
+            assert got.shape == z.shape
+            assert got.tobytes() == loop.tobytes()
+
+    def test_cap_raised_before_factor_array(self, monkeypatch):
+        # -1e6 needs 80 factors at q = 0.5; under a cap of 40 the count of
+        # the largest point is refused before any (factor, point) block,
+        # which here would take two rows of the point count, is allocated
+        import tracemalloc
+
+        monkeypatch.setattr("qharm.qlattice.DEFAULT_MAX_TERMS", 40)
+        z = np.full(4096, -1e6)
+        with pytest.raises(TruncationCapError):
+            q_exponential(-1e6, 0.5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncationCapError):
+                q_exponential(z, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * z.nbytes
+
+    @pytest.mark.parametrize("spare", [0, 1])
+    def test_cap_at_the_factor_count(self, spare, monkeypatch):
+        # the scalar loop succeeds only when its factor count is below the cap
+        mag, count = 1e6, 0
+        while mag >= 1e-18:
+            mag *= 0.5
+            count += 1
+        monkeypatch.setattr("qharm.qlattice.DEFAULT_MAX_TERMS", count + spare)
+        z = np.array([-1e6, -3.0, 0.25])
+        if spare:
+            loop = np.array([q_exponential(s, 0.5) for s in z.tolist()])
+            assert q_exponential(z, 0.5).tobytes() == loop.tobytes()
+        else:
+            with pytest.raises(TruncationCapError):
+                q_exponential(-1e6, 0.5)
+            with pytest.raises(TruncationCapError):
+                q_exponential(z, 0.5)
 
     @pytest.mark.parametrize(
         "zs, cap",
