@@ -99,8 +99,8 @@ def q_exponential(z: Complex, q: float) -> Complex:
 
 def _q_exponential_array(z: np.ndarray, q: float) -> np.ndarray:
     """The scalar loop of :func:`q_exponential` for all points at once: one
-    product over (factor, point) blocks of at most _Q_EXP_BLOCK_BYTES, each
-    reduced down its factor axis with the running product as its first row.
+    product over (factor, point) blocks of _Q_EXP_BLOCK_BYTES (one factor row
+    at least), each reduced down its factor axis after the running product.
     A point's mask drops factor i once its running |z| q.q...q is below
     DEFAULT_TRUNC_TOL, so it gets the loop's float operations; the count of
     the largest |z| is taken first, so TruncationCapError precedes any block.
