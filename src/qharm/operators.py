@@ -24,6 +24,7 @@ from .qlattice import (
 from .transform import (
     TransformTable,
     _at_zero,
+    _check_lattice,
     _transform_rows,
     build_transform_table,
     fourier_transform,
@@ -55,16 +56,23 @@ def translation(
 
 
 def all_translations(
-    values: np.ndarray, exponents: Sequence[int], table: TransformTable
+    f: LatticeFunction, exponents: Sequence[int], table: TransformTable
 ) -> np.ndarray:
     """Columns T_{x_i} f for x_i = q^{exponents[i]}, as one matrix product.
 
     Column i is F(F f . j_v(x_i .)), the translation route of
-    :func:`translation`, evaluated for every requested point at once.  The
-    values of one f give an (N, X) matrix; a (K, N) stack of them gives a
-    (K, N, X) stack from one stacked product, slab k equal to the matrix of
-    row k alone bit for bit.
+    :func:`translation`, evaluated for every requested point at once.
     """
+    _check_lattice(f, table)
+    return _all_translations(f.values, exponents, table)
+
+
+def _all_translations(
+    values: np.ndarray, exponents: Sequence[int], table: TransformTable
+) -> np.ndarray:
+    """:func:`all_translations` of the values of one f, an (N, X) matrix, or
+    of a (K, N) stack of them, a (K, N, X) stack from one stacked product
+    whose slab k equals the matrix of row k alone bit for bit."""
     ff = _transform_rows(values, table)
     return table.kernel_matrix @ (ff[..., :, None] * table.rows(exponents).T)
 
@@ -134,7 +142,7 @@ def convolution(
         return LatticeFunction(table.lattice, out, value_at_zero=at_zero)
     if route == "direct":
         lat = table.lattice
-        shifted = all_translations(f.values, lat.indices, table)
+        shifted = _all_translations(f.values, lat.indices, table)
         out = params.c_qv * (1.0 - params.q) * ((table.weights * g.values) @ shifted)
         if f.is_real and g.is_real:
             out = out.real

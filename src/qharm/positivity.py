@@ -22,7 +22,7 @@ from .transform import (
     fourier_transform,
     interior_slice,
 )
-from .operators import _spectral_convolution, all_translations
+from .operators import _all_translations, _spectral_convolution
 
 DEFAULT_PSD_TOL = 1e-9
 
@@ -398,7 +398,7 @@ def _measure_convolutions(xi: QMeasure, rho: QMeasure, values: np.ndarray, table
     q = table.params.q
     w = table.weights
     support = np.flatnonzero(xi.weights != 0.0)
-    shifted = all_translations(values, table.lattice.indices[support], table)
+    shifted = _all_translations(values, table.lattice.indices[support], table)
     outer = (1.0 - q) ** 2 * (w * rho.weights)
     inner = (w * xi.weights)[support]
     return outer @ shifted @ inner, outer @ np.abs(shifted) @ inner

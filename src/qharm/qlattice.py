@@ -113,14 +113,16 @@ def _q_exponential_array(z: np.ndarray, q: float) -> np.ndarray:
     while not top < DEFAULT_TRUNC_TOL and n < DEFAULT_MAX_TERMS:  # NaN never ends
         top *= q
         n += 1
+    # for real z <= 0 no factor nears 0 and one past its point's count rounds
+    # to 1, so the pole test and the mask run only where they can act
+    pole_possible = dtype is complex or bool((z > 0.0).any())
     if n >= DEFAULT_MAX_TERMS:
+        if pole_possible:  # the loop meets a pole before the cap
+            _raise_pole_before_cap(zs, mag, q)
         raise TruncationCapError(
             f"e(z,q) product did not reach tolerance {DEFAULT_TRUNC_TOL} "
             f"within {DEFAULT_MAX_TERMS} factors"
         )
-    # for real z <= 0 no factor nears 0 and one past its point's count rounds
-    # to 1, so the pole test and the mask run only where they can act
-    pole_possible = dtype is complex or bool((z > 0.0).any())
     rows = max(1, _Q_EXP_BLOCK_BYTES // (zs.itemsize * max(zs.size, 1)))
     denom = np.full((1, zs.size), 1.0, zs.dtype)
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, as Python gives
@@ -140,6 +142,23 @@ def _q_exponential_array(z: np.ndarray, q: float) -> np.ndarray:
                 mag = mags[-1] * q
             denom = np.multiply.reduce(np.vstack([denom, factors]), keepdims=True)
         return (1.0 / denom).astype(dtype).reshape(z.shape)
+
+
+def _raise_pole_before_cap(zs: np.ndarray, mag: np.ndarray, q: float) -> None:
+    """The pole test of :func:`q_exponential` at every factor i below
+    DEFAULT_MAX_TERMS that can fail it: 1 - z q^i nears 0 only where |z| q^i
+    nears 1, so each point has one candidate, i = round(-log|z| / log q)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cands = np.rint(np.log(mag.astype(float)) / -math.log(q))
+    poles = []
+    for j in np.flatnonzero((cands >= 0) & (cands < DEFAULT_MAX_TERMS)):
+        i = int(cands[j])
+        running = np.multiply.accumulate(np.r_[mag[j], np.full(i, q)])[-1]
+        if abs(1.0 - zs[j] * (q ** i)) < 1e-12 * (1.0 + running):
+            poles.append((i, j))
+    if poles:
+        i, j = min(poles)
+        raise PoleProximityError(f"z={zs[j]} is within tolerance of the pole q^-{i}")
 
 
 class JvResult(NamedTuple):

@@ -102,38 +102,10 @@ def _check_lattice(f: LatticeFunction, table: TransformTable) -> None:
         raise LatticeMismatchError("function lattice does not match table lattice")
 
 
-def fourier_transform_detail(
-    f: LatticeFunction, table: TransformTable
-) -> TransformResult:
-    """F f(q^k) = c (1-q) sum_n q^{n(2v+2)} f(q^n) j_v(q^{k+n}, q^2).
-
-    The output lives on the input window; value_at_zero is filled from the
-    j_v(0)=1 limit of the same sum.  An edge warning is raised when the
-    summand magnitude at either window end exceeds DEFAULT_TRUNC_TOL (the
-    window then visibly truncates the infinite Jackson sum).
-    """
-    _check_lattice(f, table)
-    params = table.params
-    scale = params.c_qv * (1.0 - params.q)
-    weighted = table.weights * f.values
-    out = table.kernel_matrix @ f.values
-    at_zero = scale * weighted.sum()
-    tol = DEFAULT_TRUNC_TOL
-    edge = bool(abs(weighted[0]) > tol or abs(weighted[-1]) > tol)
-    return TransformResult(
-        LatticeFunction(table.lattice, out, value_at_zero=at_zero), edge
-    )
-
-
-def fourier_transform(f: LatticeFunction, table: TransformTable) -> LatticeFunction:
-    return fourier_transform_detail(f, table).function
-
-
 # The private helpers below take a stack of functions as a (K, N) array, one
 # function per row, or a single (N,) vector; for a vector each gives the
-# result of the one-function route bit for bit.  The first three are
-# :func:`fourier_transform_detail` for a stack, whose per-call path keeps
-# its scalar code.
+# result of the one-function route bit for bit.  The first three make up
+# :func:`fourier_transform_detail`, which runs them on one vector.
 
 
 def _transform_rows(values: np.ndarray, table: TransformTable) -> np.ndarray:
@@ -150,6 +122,28 @@ def _edge_warning(weighted: np.ndarray) -> np.ndarray:
     """Whether a weighted summand at either window end exceeds DEFAULT_TRUNC_TOL."""
     tol = DEFAULT_TRUNC_TOL
     return (np.abs(weighted[..., 0]) > tol) | (np.abs(weighted[..., -1]) > tol)
+
+
+def fourier_transform_detail(
+    f: LatticeFunction, table: TransformTable
+) -> TransformResult:
+    """F f(q^k) = c (1-q) sum_n q^{n(2v+2)} f(q^n) j_v(q^{k+n}, q^2).
+
+    The output lives on the input window; value_at_zero is filled from the
+    j_v(0)=1 limit of the same sum.  An edge warning is raised when the
+    summand magnitude at either window end exceeds DEFAULT_TRUNC_TOL (the
+    window then visibly truncates the infinite Jackson sum).
+    """
+    _check_lattice(f, table)
+    weighted = table.weights * f.values
+    out = LatticeFunction(
+        table.lattice, _transform_rows(f.values, table), _at_zero(weighted, table)
+    )
+    return TransformResult(out, bool(_edge_warning(weighted)))
+
+
+def fourier_transform(f: LatticeFunction, table: TransformTable) -> LatticeFunction:
+    return fourier_transform_detail(f, table).function
 
 
 def delta_qv(x_exponent: int, y_exponent: int, params: QParams) -> float:

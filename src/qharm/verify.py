@@ -28,9 +28,9 @@ from .transform import (
 )
 from .bessel import bessel_bound_envelope
 from .operators import (
+    _all_translations,
     _gauss_limit_integrals,
     _spectral_convolution,
-    all_translations,
     convolution,
     gauss_kernel_function,
     translation_kernel_matrix,
@@ -144,7 +144,7 @@ def _registry() -> List[Tuple[str, float, CheckFn]]:
         xs = (-2, 0, 2, 5, 8)
         # spectral route: every draw translated to every point in one stack;
         # kernel route: the materialised D-kernel, one (N, N) matrix per point
-        spectral = all_translations(draws, xs, table)
+        spectral = _all_translations(draws, xs, table)
         weighted = (table.weights * draws).T * (1.0 - table.params.q)
         scales = np.maximum(np.abs(draws).max(axis=1), 1e-300)
         worst = 0.0

@@ -18,9 +18,11 @@ from qharm import (
     translation_via_kernel,
     young_inequality_check,
 )
+from qharm.errors import LatticeMismatchError
 from qharm.operators import (
     _PROBE_BLOCK_BYTES,
     _probe_integration_window,
+    all_translations,
     translation_kernel_matrix,
 )
 from qharm.transform import build_transform_table, interior_slice
@@ -112,6 +114,12 @@ class TestConvolution:
         )
         got = convolution(f, g, table, route="direct").values
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+    def test_all_translations_checks_the_lattice(self, table05):
+        lat = table05.lattice
+        other = QLattice(lat.q, lat.n_min + 1, lat.n_max + 1)
+        with pytest.raises(LatticeMismatchError):
+            all_translations(LatticeFunction(other, np.ones(lat.size)), [0], table05)
 
     def test_commutative(self, table05, rng):
         f = random_compact(table05.lattice, rng)

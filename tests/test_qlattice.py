@@ -185,6 +185,19 @@ class TestQExponential:
             with pytest.raises(TruncationCapError):
                 q_exponential(z, 0.5)
 
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_pole_before_the_cap(self, kind):
+        # q^-6000 needs more factors than the cap, but the loop meets its
+        # pole at factor 6000 first; a point past the cap does not hide it
+        z = kind(0.99 ** -6000)
+        with pytest.raises(PoleProximityError, match="pole q\\^-6000$"):
+            q_exponential(z, 0.99)
+        for zs in ([z], [-1e30, z, kind(3.0)]):
+            with pytest.raises(PoleProximityError, match="pole q\\^-6000$"):
+                q_exponential(np.array(zs), 0.99)
+        with pytest.raises(TruncationCapError):
+            q_exponential(np.array([-1e30, kind(3.0)]), 0.99)
+
     @pytest.mark.parametrize(
         "zs, cap",
         [

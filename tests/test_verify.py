@@ -3,6 +3,7 @@ import pytest
 
 from qharm import QLattice, QParams
 from qharm.operators import (
+    _all_translations,
     _gauss_limit_integrals,
     all_translations,
     convolution,
@@ -269,7 +270,7 @@ def test_stacked_intermediates_match_per_draw(regime):
     points = default_point_exponents(table)
     grams = _spectral_gram(spectra, points, table).entries
     xs = (-2, 0, 2, 5, 8)
-    shifted = all_translations(f, xs, table)
+    shifted = _all_translations(f, xs, table)
     widths = [table.params.q ** 4, table.params.q ** 10]
     integrals = _gauss_limit_integrals(f, widths, table)
     for j in range(5):
@@ -286,5 +287,5 @@ def test_stacked_intermediates_match_per_draw(regime):
     # the Bessel-row probes of S3-product, translated to the measure support
     probes = table.rows(np.arange(-6, 7, 2))
     support = lat.indices[(lat.indices >= -2) & (lat.indices <= 12)]
-    for row, slab in zip(probes, all_translations(probes, support, table)):
-        _close(slab, all_translations(row, support, table))
+    for row, slab in zip(probes, _all_translations(probes, support, table)):
+        _close(slab, all_translations(LatticeFunction(lat, row), support, table))
