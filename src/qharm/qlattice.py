@@ -101,14 +101,14 @@ def _q_exponential_array(z: np.ndarray, q: float) -> np.ndarray:
     """The scalar loop of :func:`q_exponential` for all points at once: one
     product over (factor, point) blocks of _Q_EXP_BLOCK_BYTES (one factor row
     at least), each reduced down its factor axis after the running product.
-    A point's mask drops factor i once its running |z| q.q...q is below
-    DEFAULT_TRUNC_TOL, so it gets the loop's float operations; the count of
-    the largest |z| is taken first, so TruncationCapError precedes any block.
+    A mask drops a point's factor i once its running |z| q.q...q is below
+    DEFAULT_TRUNC_TOL, so it gets the loop's float operations.  The loop's
+    errors past the cap are raised before any block.
     """
     # numpy's complex arithmetic rounds unlike Python's: use Python numbers
     dtype = complex if np.iscomplexobj(z) else float
     zs = z.ravel().astype(object if dtype is complex else float, copy=False)
-    mag = np.abs(zs)
+    mag = np.abs(zs).astype(float, copy=False)
     n, top = 0, float(mag.max(initial=0.0))
     while not top < DEFAULT_TRUNC_TOL and n < DEFAULT_MAX_TERMS:  # NaN never ends
         top *= q
@@ -117,8 +117,14 @@ def _q_exponential_array(z: np.ndarray, q: float) -> np.ndarray:
     # to 1, so the pole test and the mask run only where they can act
     pole_possible = dtype is complex or bool((z > 0.0).any())
     if n >= DEFAULT_MAX_TERMS:
-        if pole_possible:  # the loop meets a pole before the cap
-            _raise_pole_before_cap(zs, mag, q)
+        # 1 - z q^i nears 0 only where |z| q^i nears 1: one factor per point
+        with np.errstate(divide="ignore"):
+            at = np.rint(np.log(mag) / -math.log(q)) if pole_possible else ()
+        for i, j in sorted((int(c), j) for j, c in enumerate(at) if 0 <= c < n):
+            running = np.multiply.accumulate(np.r_[mag[j], np.full(i, q)])[-1]
+            if abs(1.0 - zs[j] * q ** i) < 1e-12 * (1.0 + running):
+                bad = f"z={zs[j]} is within tolerance of the pole q^-{i}"
+                raise PoleProximityError(bad)
         raise TruncationCapError(
             f"e(z,q) product did not reach tolerance {DEFAULT_TRUNC_TOL} "
             f"within {DEFAULT_MAX_TERMS} factors"
@@ -142,23 +148,6 @@ def _q_exponential_array(z: np.ndarray, q: float) -> np.ndarray:
                 mag = mags[-1] * q
             denom = np.multiply.reduce(np.vstack([denom, factors]), keepdims=True)
         return (1.0 / denom).astype(dtype).reshape(z.shape)
-
-
-def _raise_pole_before_cap(zs: np.ndarray, mag: np.ndarray, q: float) -> None:
-    """The pole test of :func:`q_exponential` at every factor i below
-    DEFAULT_MAX_TERMS that can fail it: 1 - z q^i nears 0 only where |z| q^i
-    nears 1, so each point has one candidate, i = round(-log|z| / log q)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cands = np.rint(np.log(mag.astype(float)) / -math.log(q))
-    poles = []
-    for j in np.flatnonzero((cands >= 0) & (cands < DEFAULT_MAX_TERMS)):
-        i = int(cands[j])
-        running = np.multiply.accumulate(np.r_[mag[j], np.full(i, q)])[-1]
-        if abs(1.0 - zs[j] * (q ** i)) < 1e-12 * (1.0 + running):
-            poles.append((i, j))
-    if poles:
-        i, j = min(poles)
-        raise PoleProximityError(f"z={zs[j]} is within tolerance of the pole q^-{i}")
 
 
 class JvResult(NamedTuple):

@@ -120,8 +120,8 @@ def _at_zero(weighted: np.ndarray, table: TransformTable) -> np.ndarray:
 
 def _edge_warning(weighted: np.ndarray) -> np.ndarray:
     """Whether a weighted summand at either window end exceeds DEFAULT_TRUNC_TOL."""
-    tol = DEFAULT_TRUNC_TOL
-    return (np.abs(weighted[..., 0]) > tol) | (np.abs(weighted[..., -1]) > tol)
+    ends = weighted.T  # the window ends of every row lead; a vector gives scalars
+    return (abs(ends[0]) > DEFAULT_TRUNC_TOL) | (abs(ends[-1]) > DEFAULT_TRUNC_TOL)
 
 
 def fourier_transform_detail(
