@@ -17,7 +17,8 @@ from .qlattice import (
     LatticeFunction,
     QLattice,
     QParams,
-    lp_norm,
+    _lattice_q_gaussian,
+    _lp_norms,
     q_exponential,
     q_pochhammer_infinite,
 )
@@ -178,6 +179,12 @@ def young_inequality_check(
     Only membership is asserted (the underlying inequality carries no stated
     constant), and the exponent hypotheses 1 < p, p', r <= 2 are enforced.
     """
+    conv = convolution(f, g, table, route="spectral")
+    return _young_report(conv.values, p, p_prime, table)
+
+
+def _young_report(conv: np.ndarray, p: float, p_prime: float, table: TransformTable):
+    """:func:`young_inequality_check` for the values of a convolution f*g."""
     if not (1.0 < p <= 2.0) or not (1.0 < p_prime <= 2.0):
         raise ValueError("need 1 < p, p' <= 2")
     inv_r = 1.0 / p + 1.0 / p_prime - 1.0
@@ -186,17 +193,13 @@ def young_inequality_check(
     r = 1.0 / inv_r
     if not (1.0 < r <= 2.0):
         raise ValueError(f"r = {r} violates 1 < r <= 2")
-    conv = convolution(f, g, table, route="spectral")
-    norm_r = lp_norm(conv, r, table.params)
+    norm_r = float(_lp_norms(conv, table.lattice, r, table.params))
     return YoungReport(p=p, p_prime=p_prime, r=r, norm_r=norm_r, finite=bool(np.isfinite(norm_r)))
 
 
-def _gauss_kernel_parts(x, t: float, params: QParams):
-    """(G^v(0, t, q^2), G^v(x, t, q^2)) for a float x or an ndarray of points.
-
-    The value at 0 is the product of the four x-independent Pochhammer
-    factors; G^v(x) multiplies it by e(-q^{-2v} x^2 / t, q^2).
-    """
+def _gauss_at_zero(t: float, params: QParams) -> float:
+    """G^v(0, t, q^2), the product of the four x-independent Pochhammer
+    factors; G^v(x) multiplies it by e(-q^{-2v} x^2 / t, q^2)."""
     if t <= 0.0:
         raise ValueError("t must be positive")
     q2 = params.q ** 2
@@ -205,21 +208,23 @@ def _gauss_kernel_parts(x, t: float, params: QParams):
     num_a, num_b, den_a, den_b = q_pochhammer_infinite(
         np.array([-q2v2 * t, -qm2v / t, -t, -q2 / t]), q2
     ).tolist()
-    at_zero = num_a * num_b / (den_a * den_b)
-    return at_zero, at_zero * q_exponential(-qm2v * x * x / t, q2).real
+    return num_a * num_b / (den_a * den_b)
 
 
 def gauss_kernel(x: float, t: float, params: QParams) -> float:
     """q-Gauss kernel G^v(x, t, q^2)."""
-    return _gauss_kernel_parts(x, t, params)[1]
+    at_zero = _gauss_at_zero(t, params)
+    qm2v = params.q ** (-2.0 * params.v)
+    return at_zero * q_exponential(-qm2v * x * x / t, params.q ** 2).real
 
 
 def gauss_kernel_function(
     t: float, params: QParams, lattice: QLattice
 ) -> LatticeFunction:
     """G^v(., t, q^2) sampled on a window, with its x -> 0 limit."""
-    at_zero, vals = _gauss_kernel_parts(lattice.points, t, params)
-    return LatticeFunction(lattice, vals, value_at_zero=at_zero)
+    at_zero = _gauss_at_zero(t, params)
+    decay = _lattice_q_gaussian(params.q ** (-2.0 * params.v) / t, lattice)
+    return LatticeFunction(lattice, at_zero * decay, value_at_zero=at_zero)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,6 @@ Complex = Union[float, complex]
 # truncation of every q-product and q-series loop below, read at call time
 DEFAULT_TRUNC_TOL = 1e-18
 DEFAULT_MAX_TERMS = 10000
-# each (factor, point) block of the array q-exponential stays under this
-_Q_EXP_BLOCK_BYTES = 1 << 16
 
 
 def q_pochhammer_finite(a: Complex, q: float, n: int) -> Complex:
@@ -71,16 +69,17 @@ def q_pochhammer_infinite(a: Union[Complex, np.ndarray], q: float):
 
 
 def q_exponential(z: Complex, q: float) -> Complex:
-    """e(z,q) = 1/(z;q)_inf.
+    """e(z,q) = 1/(z;q)_inf for a scalar z.
 
     The product form continues the series sum z^n/(q;q)_n beyond |z| < 1.
-    Points z = q^{-i} are poles; proximity raises PoleProximityError.
-    An ndarray `z` is evaluated elementwise by :func:`_q_exponential_array`.
+    Points z = q^{-i} are poles; proximity raises PoleProximityError.  An
+    ndarray z raises TypeError: the q-Gaussian on a lattice window comes
+    from :func:`_lattice_q_gaussian`.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0,1), got {q}")
     if isinstance(z, np.ndarray):
-        return _q_exponential_array(z, q)
+        raise TypeError("q_exponential takes a scalar z, not an ndarray")
     denom: Complex = 1.0
     mag = abs(z)
     for i in range(DEFAULT_MAX_TERMS):
@@ -97,57 +96,25 @@ def q_exponential(z: Complex, q: float) -> Complex:
     )
 
 
-def _q_exponential_array(z: np.ndarray, q: float) -> np.ndarray:
-    """The scalar loop of :func:`q_exponential` for all points at once: one
-    product over (factor, point) blocks of _Q_EXP_BLOCK_BYTES (one factor row
-    at least), each reduced down its factor axis after the running product.
-    A mask drops a point's factor i once its running |z| q.q...q is below
-    DEFAULT_TRUNC_TOL, so it gets the loop's float operations.  The loop's
-    errors past the cap are raised before any block.
+def _lattice_q_gaussian(c: float, lattice: QLattice) -> np.ndarray:
+    """e(-c q^{2n}, q^2) for every n of the window, for c > 0.
+
+    Neighbouring points share all but one factor, e(-c q^{2n}) =
+    e(-c q^{2n+2}) / (1 + c q^{2n}), so the window is one reverse cumulative
+    product over f_k = 1 + c q^{2k}, for k from n_min up to n_max or the last
+    k with c q^{2k} >= DEFAULT_TRUNC_TOL, whichever is later.  Like the
+    scalar loop at the largest point q^{n_min}, it raises TruncationCapError
+    when that point needs DEFAULT_MAX_TERMS factors or more.  A product past
+    double range gives 1/inf = 0.
     """
-    # numpy's complex arithmetic rounds unlike Python's: use Python numbers
-    dtype = complex if np.iscomplexobj(z) else float
-    zs = z.ravel().astype(object if dtype is complex else float, copy=False)
-    mag = np.abs(zs).astype(float, copy=False)
-    n, top = 0, float(mag.max(initial=0.0))
-    while not top < DEFAULT_TRUNC_TOL and n < DEFAULT_MAX_TERMS:  # NaN never ends
-        top *= q
-        n += 1
-    # for real z <= 0 no factor nears 0 and one past its point's count rounds
-    # to 1, so the pole test and the mask run only where they can act
-    pole_possible = dtype is complex or bool((z > 0.0).any())
-    if n >= DEFAULT_MAX_TERMS:
-        # 1 - z q^i nears 0 only where |z| q^i nears 1: one factor per point
-        with np.errstate(divide="ignore"):
-            at = np.rint(np.log(mag) / -math.log(q)) if pole_possible else ()
-        for i, j in sorted((int(c), j) for j, c in enumerate(at) if 0 <= c < n):
-            running = np.multiply.accumulate(np.r_[mag[j], np.full(i, q)])[-1]
-            if abs(1.0 - zs[j] * q ** i) < 1e-12 * (1.0 + running):
-                bad = f"z={zs[j]} is within tolerance of the pole q^-{i}"
-                raise PoleProximityError(bad)
-        raise TruncationCapError(
-            f"e(z,q) product did not reach tolerance {DEFAULT_TRUNC_TOL} "
-            f"within {DEFAULT_MAX_TERMS} factors"
-        )
-    rows = max(1, _Q_EXP_BLOCK_BYTES // (zs.itemsize * max(zs.size, 1)))
-    denom = np.full((1, zs.size), 1.0, zs.dtype)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, as Python gives
-        for start in range(0, n, rows):
-            powers = np.array([q ** i for i in range(start, min(start + rows, n))])
-            factors = 1.0 - zs * powers[:, None]
-            if pole_possible:
-                mags = np.full(factors.shape, q)
-                mags[0] = mag
-                np.multiply.accumulate(mags, out=mags)
-                near = np.abs(factors) < 1e-12 * (1.0 + mags)
-                if near.any():
-                    i, j = divmod(int(np.argmax(near)), zs.size)
-                    bad = f"z={zs[j]} is within tolerance of the pole q^-{start + i}"
-                    raise PoleProximityError(bad)
-                factors[mags < DEFAULT_TRUNC_TOL] = 1.0
-                mag = mags[-1] * q
-            denom = np.multiply.reduce(np.vstack([denom, factors]), keepdims=True)
-        return (1.0 / denom).astype(dtype).reshape(z.shape)
+    q = lattice.q
+    last = math.floor(math.log(DEFAULT_TRUNC_TOL / c) / (2.0 * math.log(q)))
+    if last - lattice.n_min + 1 >= DEFAULT_MAX_TERMS:
+        raise TruncationCapError(f"q-Gaussian needs {DEFAULT_MAX_TERMS} factors or more")
+    k = np.arange(lattice.n_min, max(lattice.n_max, last) + 1)
+    with np.errstate(over="ignore"):
+        tails = np.multiply.accumulate((1.0 + c * q ** (2.0 * k))[::-1])[::-1]
+    return 1.0 / tails[: lattice.size]
 
 
 class JvResult(NamedTuple):

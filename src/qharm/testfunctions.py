@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qlattice import LatticeFunction, QLattice, q_exponential
+from .qlattice import LatticeFunction, QLattice, _lattice_q_gaussian
 from .transform import TransformTable, clean_inversion_range
 
 
@@ -70,9 +70,6 @@ def random_measure_weights(lattice: QLattice, rng: np.random.Generator) -> np.nd
 
 
 def gaussian_density(table: TransformTable, width_exp: int = 0) -> LatticeFunction:
-    params = table.params
-    q2 = params.q ** 2
-    t = params.q ** (2 * width_exp)
-    x = table.lattice.points
-    vals = q_exponential(-t * x * x, q2).real
+    """The q-Gaussian e(-q^{2w} x^2, q^2) on the window, 1 at x = 0."""
+    vals = _lattice_q_gaussian(table.params.q ** (2 * width_exp), table.lattice)
     return LatticeFunction(table.lattice, vals, value_at_zero=1.0)

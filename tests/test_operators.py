@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -178,12 +179,27 @@ class TestGaussKernel:
         assert np.abs(ff.values - target.values).max() < 1e-12
 
     def test_function_matches_pointwise_kernel(self, regime_table):
+        # the window is one cumulative product and each point of the scalar
+        # kernel its own loop: equal to roundoff, with the same underflows
         params, lat = regime_table.params, regime_table.lattice
         for t in (1.0, params.q ** 8, params.q ** 20):
             g = gauss_kernel_function(t, params, lat)
             pointwise = np.array([gauss_kernel(float(x), t, params) for x in lat.points])
-            assert np.array_equal(g.values, pointwise)
+            assert np.array_equal(g.values == 0.0, pointwise == 0.0)
+            np.testing.assert_allclose(g.values, pointwise, rtol=1e-13, atol=0.0)
             assert g.value_at_zero == gauss_kernel(0.0, t, params)
+
+    @pytest.mark.parametrize("width", [24, 40])
+    def test_product_past_double_range_gives_zero(self, width, table05):
+        # at x = 2^20 and t = q^width the product of e(-x^2/t, q^2) passes
+        # the double range, and the far end of the window is 0
+        params, lat = table05.params, table05.lattice
+        t = params.q ** width
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = gauss_kernel_function(t, params, lat)
+        assert g.values[0] == 0.0 == gauss_kernel(float(lat.points[0]), t, params)
+        assert np.all(g.values[-10:] > 0.0)
 
     def test_width_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from qharm import (
     QLattice,
     QParams,
     TruncationCapError,
+    build_transform_table,
     hahn_exton_jv,
     hahn_exton_jv_detail,
     jackson_integral,
@@ -20,7 +21,12 @@ from qharm import (
     q_pochhammer_infinite,
 )
 from qharm.errors import LatticeMismatchError
-from qharm.qlattice import jackson_integral_detail, vanishing_and_bounded_diagnostics
+from qharm.qlattice import (
+    _lattice_q_gaussian,
+    jackson_integral_detail,
+    vanishing_and_bounded_diagnostics,
+)
+from qharm.testfunctions import gaussian_density
 
 
 def _pochhammer_loop(a, q):
@@ -125,78 +131,39 @@ class TestQExponential:
         val = q_exponential(-3.0, 0.25)
         assert 0.0 < val.real < 1.0
 
-    @pytest.mark.parametrize(
-        "q, v, n_min, n_max", [(0.5, 0.0, -20, 60), (0.9, 1.5, -30, 160), (0.95, 0.0, -40, 320)]
-    )
-    def test_array_matches_scalar_bitwise(self, q, v, n_min, n_max):
-        # the Gauss kernel arguments -q^{-2v} x^2 / t on the window, then
-        # complex points, positive points (where the pole test and the
-        # truncation mask run), no points and a 2-D array
-        x = QLattice(q, n_min, n_max).points
-        gauss = [-(q ** (-2.0 * v)) * x * x / q ** j for j in range(0, 21, 4)]
-        rows = x.size // 5
-        for z in gauss + [
-            gauss[0] * (0.3 - 0.8j),
-            (0.2 + 1.1j) * x,
-            0.37 * x,
-            np.where(np.arange(x.size) % 2, 0.37, -2.5) * x,
-            np.array([]),
-            gauss[1][: 5 * rows].reshape(5, rows),
-        ]:
-            got = q_exponential(z, q * q)
-            loop = np.array([q_exponential(s, q * q) for s in z.ravel().tolist()], got.dtype)
-            assert got.shape == z.shape
-            assert got.tobytes() == loop.tobytes()
-
-    def test_cap_raised_before_factor_array(self, monkeypatch):
-        # -1e6 needs 80 factors at q = 0.5; under a cap of 40 the count of
-        # the largest point is refused before any (factor, point) block,
-        # which here would take two rows of the point count, is allocated
-        import tracemalloc
-
-        monkeypatch.setattr("qharm.qlattice.DEFAULT_MAX_TERMS", 40)
-        z = np.full(4096, -1e6)
-        with pytest.raises(TruncationCapError):
-            q_exponential(-1e6, 0.5)
-        tracemalloc.start()
-        try:
-            with pytest.raises(TruncationCapError):
+    def test_ndarray_refused(self):
+        for z in (np.array(-0.5), np.array([-0.5, 0.25]), -QLattice(0.5, -2, 4).points):
+            with pytest.raises(TypeError):
                 q_exponential(z, 0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * z.nbytes
 
-    @pytest.mark.parametrize("spare", [0, 1])
+    @pytest.mark.parametrize("spare", [-1, 0, 1])
     def test_cap_at_the_factor_count(self, spare, monkeypatch):
-        # the scalar loop succeeds only when its factor count is below the cap
-        mag, count = 1e6, 0
+        # the lattice product raises where the scalar loop does at the
+        # window's largest point, which succeeds only below the cap
+        lat = QLattice(0.5, -20, 60)
+        z = -(0.5 ** (2.0 * lat.n_min))
+        mag, count = -z, 0
         while mag >= 1e-18:
-            mag *= 0.5
+            mag *= 0.25
             count += 1
         monkeypatch.setattr("qharm.qlattice.DEFAULT_MAX_TERMS", count + spare)
-        z = np.array([-1e6, -3.0, 0.25])
-        if spare:
-            loop = np.array([q_exponential(s, 0.5) for s in z.tolist()])
-            assert q_exponential(z, 0.5).tobytes() == loop.tobytes()
+        if spare > 0:
+            got = _lattice_q_gaussian(1.0, lat)[0]
+            assert got == pytest.approx(q_exponential(z, 0.25), rel=1e-13, abs=0.0)
         else:
             with pytest.raises(TruncationCapError):
-                q_exponential(-1e6, 0.5)
+                q_exponential(z, 0.25)
             with pytest.raises(TruncationCapError):
-                q_exponential(z, 0.5)
+                _lattice_q_gaussian(1.0, lat)
 
     @pytest.mark.parametrize("kind", [float, complex])
     def test_pole_before_the_cap(self, kind):
         # q^-6000 needs more factors than the cap, but the loop meets its
-        # pole at factor 6000 first; a point past the cap does not hide it
-        z = kind(0.99 ** -6000)
+        # pole at factor 6000 first
         with pytest.raises(PoleProximityError, match="pole q\\^-6000$"):
-            q_exponential(z, 0.99)
-        for zs in ([z], [-1e30, z, kind(3.0)]):
-            with pytest.raises(PoleProximityError, match="pole q\\^-6000$"):
-                q_exponential(np.array(zs), 0.99)
+            q_exponential(kind(0.99 ** -6000), 0.99)
         with pytest.raises(TruncationCapError):
-            q_exponential(np.array([-1e30, kind(3.0)]), 0.99)
+            q_exponential(kind(-1e30), 0.99)
 
     @pytest.mark.parametrize(
         "zs, cap",
@@ -209,20 +176,37 @@ class TestQExponential:
         ],
     )
     def test_array_raises_where_scalar_raises(self, zs, cap, monkeypatch):
-        def outcome(fn):
-            try:
-                return fn()
-            except (PoleProximityError, TruncationCapError) as exc:
-                return type(exc)
-
+        # the loop raises at a zero of (z;q)_inf and past the cap, and
+        # otherwise gives the reciprocal of the product; an array of the
+        # points is refused (test_ndarray_refused)
         monkeypatch.setattr("qharm.qlattice.DEFAULT_MAX_TERMS", cap)
-        scalar = [outcome(lambda: q_exponential(z, 0.5)) for z in zs]
-        errors = {s for s in scalar if isinstance(s, type)}
-        got = outcome(lambda: q_exponential(np.array(zs), 0.5))
-        if errors:
-            assert got in errors
-        else:
-            np.testing.assert_allclose(got, scalar, rtol=1e-15, atol=0.0)
+        for z in zs:
+            try:
+                val = q_exponential(z, 0.5)
+            except PoleProximityError:
+                assert abs(q_pochhammer_infinite(z, 0.5)) < 1e-12
+            except TruncationCapError:
+                with pytest.raises(TruncationCapError):
+                    q_pochhammer_infinite(z, 0.5)
+            else:
+                assert val * q_pochhammer_infinite(z, 0.5) == pytest.approx(1.0, rel=1e-14)
+
+
+class TestLatticeQGaussian:
+    # e(-q^{2n+2}, q^2) at the window's n_min in mpmath (60 digits), q the
+    # same double: 2.262686690249457875478293e-42 at q = 0.95 and
+    # 1.098875624460437506296251e-59 at q = 0.99
+    PINS = {
+        (0.95, -40, 320): 2.262686690249458e-42,
+        (0.99, -80, 1600): 1.0988756244604376e-59,
+    }
+
+    @pytest.mark.parametrize("window", sorted(PINS), ids=str)
+    def test_density_meets_the_exact_lattice_value(self, window):
+        q, n_min, n_max = window
+        table = build_transform_table(QParams(q), QLattice(q, n_min, n_max))
+        got = gaussian_density(table, width_exp=1).values[0]
+        assert got == pytest.approx(self.PINS[window], rel=1.5e-14, abs=0.0)
 
 
 class TestHahnExtonJv:
