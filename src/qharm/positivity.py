@@ -123,33 +123,38 @@ def _spectral_verdict(
     """The PSD verdict of :func:`is_q_positive_type` from the spectrum F phi.
 
     A stack of spectra (L, N), with one tolerance per row or one for all,
-    gives the list of L verdicts from one stacked ``eigh``; each equals the
-    verdict of its row alone, bit for bit.
+    gives the list of L verdicts from one stacked ``eigvalsh``, and ``eigh``
+    runs on the NEGATIVE rows only, for their witnesses.  Each verdict equals
+    the verdict of its row alone, bit for bit.
     """
     if point_exponents is None:
         point_exponents = default_point_exponents(table)
     g = _spectral_gram(spectrum, point_exponents, table)
     herm = 0.5 * (g.entries + np.swapaxes(g.entries.conj(), -1, -2))
-    vals, vecs = np.linalg.eigh(herm)
-    lam = vals[..., 0]
+    lam = np.linalg.eigvalsh(herm)[..., 0]
     scale = np.maximum(1.0, np.abs(g.entries).max(axis=(-2, -1)))
     tols = np.full(lam.shape, tol)
     ok = lam >= -tols * scale
+    flat = herm.reshape(-1, *herm.shape[-2:])
+    bad = np.flatnonzero(~ok.reshape(-1))
+    witnesses = [None] * len(flat)
+    for i, vecs in zip(bad, np.linalg.eigh(flat[bad])[1] if bad.size else ()):
+        witnesses[i] = vecs[:, 0]
     verdicts = [
         PositivityVerdict(
             positive=positive,
             min_eigenvalue=lam_i,
             scale=scale_i,
             tolerance=tol_i,
-            witness=None if positive else vecs_i[:, 0],
+            witness=witness,
             point_exponents=tuple(g.point_exponents),
         )
-        for positive, lam_i, scale_i, tol_i, vecs_i in zip(
+        for positive, lam_i, scale_i, tol_i, witness in zip(
             ok.reshape(-1).tolist(),
             lam.reshape(-1).tolist(),
             scale.reshape(-1).tolist(),
             tols.reshape(-1).tolist(),
-            vecs.reshape(-1, *vecs.shape[-2:]),
+            witnesses,
         )
     ]
     return verdicts if spectrum.ndim > 1 else verdicts[0]
@@ -170,7 +175,7 @@ def _grid_sweep(
     """PSD verdicts on the default grid plus 4 grids drawn with seed 0, from
     the spectrum F fn; every grid is a quadratic form in that spectrum.
 
-    A (K, N) stack of spectra gives K reports from one stacked ``eigh`` per
+    A (K, N) stack of spectra gives K reports from one stacked ``eigvalsh`` per
     grid.
     """
     lat = table.lattice
@@ -503,10 +508,12 @@ def bochner_reconstruct(
     measure, obtained by eliminating the exactly geometric q^n cutoff term
     from the last two levels, is held to the strict tolerance.
 
-    All levels are evaluated as arrays: one (L, N) cutoff stack, one cast of
-    the kernel and a matrix-vector product per row for the densities, one
-    stack of Gram matrices with one stacked ``eigh`` for the PSD checks, and
-    axis reductions for the other checks.  Each level's PSD verdict equals
+    All levels are evaluated as arrays: one (L, N) cutoff stack, a
+    matrix-vector product per row for the densities, one stack of Gram
+    matrices with one stacked ``eigvalsh`` for the PSD checks, and axis
+    reductions for the other checks.  A real phi(0) divides as a float, so a
+    real phi runs in float64 on the table's own kernel; complex values or a
+    complex phi(0) cast the kernel once.  Each level's PSD verdict equals
     ``is_q_positive_type`` on that cutoff with tolerance tol + 50 q^n, bit
     for bit.  When several levels fail, the reason names the highest.  A
     phi(0) that is not real and positive (|Im phi(0)| > tol |phi(0)|) is
@@ -526,11 +533,12 @@ def bochner_reconstruct(
     q = table.params.q
     c = table.params.c_qv
     kernel = table.kernel_matrix
-    norm_phi = LatticeFunction(lat, phi.values / phi0, value_at_zero=1.0).values
+    norm = phi0.real if phi0.imag == 0.0 else phi0
+    norm_phi = LatticeFunction(lat, phi.values / norm, value_at_zero=1.0).values
     sl = interior_slice(lat)
 
     cutoffs = norm_phi * _cutoff_factors(lat, levels)
-    rho = _matvec_rows(kernel.astype(cutoffs.dtype), cutoffs)
+    rho = _matvec_rows(kernel.astype(cutoffs.dtype, copy=False), cutoffs)
     dens = rho.real
     if not np.all(np.isfinite(dens)):
         raise ValueError("weights must be finite")

@@ -56,6 +56,8 @@ from .testfunctions import (
 )
 
 _SEED = 12345
+# Thm2's (p, p') pairs: r = 2, 2 and about 1.0202, each admissible
+_THM2_EXPONENTS = ((4.0 / 3.0, 4.0 / 3.0), (1.2, 1.5), (1.01, 1.01))
 
 
 @dataclass(frozen=True)
@@ -196,11 +198,8 @@ def _registry() -> List[Tuple[str, float, CheckFn]]:
         g = random_compact(table.lattice, rng)
         conv = _spectral_convolution(f.values, g.values, table)[0]
         bad = 0.0
-        for p, pp in ((4.0 / 3.0, 4.0 / 3.0), (1.2, 1.5), (2.0, 1.01)):
-            try:
-                rep = _young_report(conv, p, pp, table)
-            except ValueError:
-                continue
+        for p, pp in _THM2_EXPONENTS:
+            rep = _young_report(conv, p, pp, table)
             if not rep.finite:
                 bad = float("inf")
         return bad, "||f*g||_r finite for admissible exponent triples"
@@ -341,6 +340,9 @@ def run_suite(
     """
     table = build_transform_table(params, lattice)
     wanted = set(only) if only is not None else None
+    # numpy imports numpy.random lazily (about 13 ms): pay it before the
+    # first drawing check's clock starts, not at `import qharm`
+    import numpy.random  # noqa: F401
     if wanted is not None:
         unknown = wanted - set(statement_ids())
         if unknown:

@@ -295,23 +295,26 @@ class TestSpectralRoute:
         return calls
 
     def test_bochner_levels_are_one_stack(self, table05, count_transforms, monkeypatch):
-        # no per-level transform and one stacked eigh, whatever the level count
-        eigh_shapes = []
-        original = np.linalg.eigh
+        # no per-level transform and one stacked eigvalsh, whatever the level
+        # count; an accepted run never needs a witness, so never calls eigh
+        shapes = {"eigvalsh": [], "eigh": []}
+        for name, shape_list in shapes.items():
+            original = getattr(np.linalg, name)
 
-        def counted(a):
-            eigh_shapes.append(a.shape)
-            return original(a)
+            def counted(a, original=original, shape_list=shape_list):
+                shape_list.append(a.shape)
+                return original(a)
 
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+            monkeypatch.setattr(np.linalg, name, counted)
         phi = fourier_transform(gaussian_density(table05, width_exp=1), table05)
         n_points = len(default_point_exponents(table05))
         for n_levels in (2, 5, 10, 20):
             count_transforms.clear()
-            eigh_shapes.clear()
-            bochner_reconstruct(phi, range(1, n_levels + 1), table05)
+            for shape_list in shapes.values():
+                shape_list.clear()
+            assert bochner_reconstruct(phi, range(1, n_levels + 1), table05).accepted
             assert len(count_transforms) == 0
-            assert eigh_shapes == [(n_levels, n_points, n_points)]
+            assert shapes == {"eigvalsh": [(n_levels, n_points, n_points)], "eigh": []}
 
     def test_sweeps_transform_twice(self, table05, rng, count_transforms):
         phi = positive_type_fn(table05, rng)
@@ -346,7 +349,7 @@ class TestSpectralRoute:
         phi = fourier_transform(gaussian_density(regime_table, width_exp=1), regime_table)
         norm_phi = LatticeFunction(
             regime_table.lattice,
-            phi.values / complex(phi.value_at_zero),
+            phi.values / _normalizer(phi),
             value_at_zero=1.0,
         )
         rep = bochner_reconstruct(phi, range(1, 11), regime_table)
@@ -361,6 +364,12 @@ class TestSpectralRoute:
             assert lev.psd_tolerance == want.tolerance
 
 
+def _normalizer(phi):
+    """phi(0) as bochner_reconstruct divides by it: a float when it is real."""
+    phi0 = complex(phi.value_at_zero)
+    return phi0.real if phi0.imag == 0.0 else phi0
+
+
 def _reference_bochner(phi, levels, table, tol=DEFAULT_PSD_TOL):
     """The per-level loop bochner_reconstruct replaced: a cutoff, a transform,
     a PSD verdict and a measure transform for each level in turn."""
@@ -369,7 +378,7 @@ def _reference_bochner(phi, levels, table, tol=DEFAULT_PSD_TOL):
     lat = table.lattice
     q = table.params.q
     c = table.params.c_qv
-    norm_phi = LatticeFunction(lat, phi.values / phi0, value_at_zero=1.0)
+    norm_phi = LatticeFunction(lat, phi.values / _normalizer(phi), value_at_zero=1.0)
     sl = interior_slice(lat)
     records, densities = [], {}
     accepted, reason = True, None
@@ -442,3 +451,75 @@ def test_bochner_matches_per_level_loop(regime):
                 assert np.array_equal(got.limit_measure.weights, want.limit_measure.weights)
             outcomes.add(want.rejection_reason is None)
     assert outcomes == {True, False}  # both accepted and rejected reports compared
+
+
+class TestRealRoute:
+    """A real phi keeps the Bochner pipeline and the PSD verdicts in float64."""
+
+    def test_real_phi_stays_float64(self, regime_table, monkeypatch):
+        eig_dtypes, products = [], []
+        original_eig = np.linalg.eigvalsh
+        original_matvec = qharm.positivity._matvec_rows
+
+        def eig(a):
+            eig_dtypes.append(a.dtype)
+            return original_eig(a)
+
+        def matvec(matrix, stack):
+            out = original_matvec(matrix, stack)
+            products.append((matrix is regime_table.kernel_matrix, out.dtype))
+            return out
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eig)
+        monkeypatch.setattr(qharm.positivity, "_matvec_rows", matvec)
+        phi = fourier_transform(gaussian_density(regime_table, width_exp=1), regime_table)
+        assert phi.values.dtype == np.float64
+        assert bochner_reconstruct(phi, range(1, 11), regime_table).accepted
+        assert eig_dtypes == [np.float64]
+        # densities and reconstructions from the table's own kernel, no copy
+        assert products == [(True, np.float64)] * 2
+
+    @pytest.mark.parametrize(
+        "regime", [(0.5, 0.0, -20, 60), (0.9, 1.5, -30, 160)], ids=lambda r: f"q{r[0]}-v{r[1]}"
+    )
+    def test_complex_values_match_per_level_loop(self, regime):
+        table = get_table(*regime)
+        lat = table.lattice
+        phi = fourier_transform(gaussian_density(table, width_exp=1), table)
+        wobble = 1e-3j * np.sin(np.arange(lat.size)) * phi.values
+        tilt = 1.0 + 1e-12j
+        phis = [
+            # complex values, real phi(0): the complex route, float division
+            LatticeFunction(lat, phi.values + wobble, value_at_zero=phi.value_at_zero),
+            # a phi(0) off the real axis (within tol) divides as a complex
+            LatticeFunction(lat, tilt * phi.values, value_at_zero=tilt * phi.value_at_zero),
+        ]
+        for phi in phis:
+            for levels in (range(1, 11), [3, 7]):
+                got = bochner_reconstruct(phi, levels, table)
+                want = _reference_bochner(phi, levels, table)
+                assert got.levels == want.levels
+                assert got.accepted == want.accepted
+                assert got.rejection_reason == want.rejection_reason
+                assert got.reconstruction_error == want.reconstruction_error
+                assert got.normalization == want.normalization
+                if want.limit_measure is None:
+                    assert got.limit_measure is None
+                else:
+                    assert np.array_equal(got.limit_measure.weights, want.limit_measure.weights)
+
+    @pytest.mark.parametrize("far", [-1.0, -1.0 - 0.5j])
+    def test_witness_attains_min_eigenvalue(self, regime_table, far):
+        # the verdict's eigenvalue comes from eigvalsh, its witness from eigh
+        lat = regime_table.lattice
+        vals = np.zeros(lat.size, type(far))
+        vals[lat.index_of(2)] = 1.0
+        vals[lat.index_of(4)] = far
+        phi = fourier_transform(LatticeFunction(lat, vals), regime_table)
+        verdict = is_q_positive_type(phi, None, regime_table)
+        assert not verdict.positive
+        g = gram_matrix(phi, list(verdict.point_exponents), regime_table).entries
+        z = verdict.witness
+        rayleigh = np.real(z.conj() @ g @ z) / np.real(z.conj() @ z)
+        roundoff = 64 * np.finfo(float).eps * np.linalg.norm(g, 2)
+        assert abs(rayleigh - verdict.min_eigenvalue) <= roundoff

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import qharm
 
 from qharm import QLattice, QParams
 from qharm.operators import (
@@ -10,6 +16,7 @@ from qharm.operators import (
     gauss_delta_limit_check,
     translation,
     translation_kernel_matrix,
+    young_inequality_check,
 )
 from qharm.positivity import (
     QMeasure,
@@ -43,7 +50,7 @@ from qharm.transform import (
     verify_orthogonality,
     verify_plancherel,
 )
-from qharm.verify import _SEED, _registry, run_suite
+from qharm.verify import _SEED, _THM2_EXPONENTS, _registry, run_suite
 
 README_REGIMES = [(0.5, 0.0, -20, 60), (0.9, 1.5, -30, 160)]
 _GENERATORS = {"compact": random_compact, "nonneg": nonneg_density}
@@ -289,3 +296,43 @@ def test_stacked_intermediates_match_per_draw(regime):
     support = lat.indices[(lat.indices >= -2) & (lat.indices <= 12)]
     for row, slab in zip(probes, _all_translations(probes, support, table)):
         _close(slab, all_translations(LatticeFunction(lat, row), support, table))
+
+
+def test_thm2_exponents_admissible_and_distinct(table05, rng):
+    # a pair outside 1 < r <= 2 raises instead of being skipped
+    f = random_compact(table05.lattice, rng)
+    reports = [young_inequality_check(f, f, p, pp, table05) for p, pp in _THM2_EXPONENTS]
+    assert all(rep.finite for rep in reports)
+    assert len({rep.r for rep in reports}) > 1
+
+
+_FIRST_CHECK_PROBE = """
+import sys
+import qharm
+from qharm import verify
+print("numpy.random" in sys.modules)
+registry = verify._registry
+seen = []
+
+def spied():
+    def wrap(check):
+        def run(table, tol):
+            seen.append("numpy.random" in sys.modules)
+            return check(table, tol)
+        return run
+    return [(sid, tol, wrap(check)) for sid, tol, check in registry()]
+
+verify._registry = spied
+verify.run_suite(qharm.QParams(0.5, 0.0), qharm.QLattice(0.5, -20, 60), only=["Thm2"])
+print(seen[0])
+"""
+
+
+def test_suite_imports_numpy_random_before_first_check():
+    # numpy.random's lazy import would be timed as part of the first check
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qharm.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", _FIRST_CHECK_PROBE],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert out == ["False", "True"]  # not at import qharm; before the check
