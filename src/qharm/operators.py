@@ -50,7 +50,7 @@ def translation(
     ff = fourier_transform(f, table)
     weighted = LatticeFunction(
         table.lattice,
-        ff.values * table.jv_row(x_exponent),
+        ff.values * table.rows([x_exponent])[0],
         value_at_zero=None,
     )
     return fourier_transform(weighted, table)
@@ -83,12 +83,8 @@ def translation_kernel(
 ) -> float:
     """D_v(x,y,z) = c^2 int j_v(xt) j_v(yt) j_v(zt) t^{2v+1} d_qt (window sum)."""
     params = table.params
-    integrand = (
-        table.weights
-        * table.jv_row(x_exponent)
-        * table.jv_row(y_exponent)
-        * table.jv_row(z_exponent)
-    )
+    x_row, y_row, z_row = table.rows([x_exponent, y_exponent, z_exponent])
+    integrand = table.weights * x_row * y_row * z_row
     return params.c_qv ** 2 * (1.0 - params.q) * float(integrand.sum())
 
 

@@ -67,9 +67,14 @@ def _spectral_gram(
 ) -> GramMatrix:
     """The Gram matrix as a quadratic form in the spectrum F phi.
 
-    A stack of spectra (..., N) gives the stack of Gram matrices (..., P, P).
+    A stack of spectra (..., N) gives the stack of Gram matrices (..., P, P)
+    from one stacked product, which runs one matrix product per slab, so each
+    matrix equals the matrix of its spectrum alone bit for bit.  An empty or
+    repeated point list is refused with ValueError.
     """
     pts = list(point_exponents)
+    if not pts:
+        raise ValueError("gram grid needs at least one point")
     if len(set(pts)) != len(pts):
         raise ValueError("gram points must be distinct")
     for n in pts:
@@ -77,13 +82,7 @@ def _spectral_gram(
     params = table.params
     rows = table.rows(pts)
     scale = params.c_qv * (1.0 - params.q) * table.weights
-    flat = spectrum.reshape(-1, spectrum.shape[-1])
-    entries = np.empty((len(flat), len(pts), len(pts)), np.result_type(rows, spectrum))
-    for i, row in enumerate(flat):
-        # one product per matrix: a stacked product would materialise an
-        # (..., P, N) temporary and raise the peak memory of long level lists
-        entries[i] = (rows * (scale * row)) @ rows.T
-    entries = entries.reshape(spectrum.shape[:-1] + entries.shape[1:])
+    entries = (rows * (scale * spectrum)[..., None, :]) @ rows.T
     return GramMatrix(point_exponents=pts, entries=entries)
 
 
@@ -457,18 +456,6 @@ def bochner_cutoff(phi: LatticeFunction, n: int) -> LatticeFunction:
     )
 
 
-def _matvec_rows(matrix: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """matrix @ row for every row of an (L, N) stack.
-
-    One matrix-vector product per row keeps each row bit-identical to a lone
-    ``matrix @ row``; a single matrix product over the stack is not.
-    """
-    out = np.empty((stack.shape[0], matrix.shape[0]), np.result_type(matrix, stack))
-    for i, row in enumerate(stack):
-        out[i] = matrix @ row
-    return out
-
-
 @dataclass(frozen=True)
 class BochnerLevel:
     level: int
@@ -508,10 +495,12 @@ def bochner_reconstruct(
     measure, obtained by eliminating the exactly geometric q^n cutoff term
     from the last two levels, is held to the strict tolerance.
 
-    All levels are evaluated as arrays: one (L, N) cutoff stack, a
-    matrix-vector product per row for the densities, one stack of Gram
-    matrices with one stacked ``eigvalsh`` for the PSD checks, and axis
-    reductions for the other checks.  A real phi(0) divides as a float, so a
+    All levels are evaluated as arrays: one (L, N) cutoff stack, one stacked
+    kernel product for the densities and one for their reconstructions (each
+    a matrix-vector product per level, so a level's row equals a lone
+    ``kernel @ row`` bit for bit), one stack of Gram matrices with one
+    stacked ``eigvalsh`` for the PSD checks, and axis reductions for the
+    other checks.  A real phi(0) divides as a float, so a
     real phi runs in float64 on the table's own kernel; complex values or a
     complex phi(0) cast the kernel once.  Each level's PSD verdict equals
     ``is_q_positive_type`` on that cutoff with tolerance tol + 50 q^n, bit
@@ -538,7 +527,7 @@ def bochner_reconstruct(
     sl = interior_slice(lat)
 
     cutoffs = norm_phi * _cutoff_factors(lat, levels)
-    rho = _matvec_rows(kernel.astype(cutoffs.dtype, copy=False), cutoffs)
+    rho = (kernel.astype(cutoffs.dtype, copy=False) @ cutoffs[..., None])[..., 0]
     dens = rho.real
     if not np.all(np.isfinite(dens)):
         raise ValueError("weights must be finite")
@@ -549,7 +538,7 @@ def bochner_reconstruct(
     dens_min = dens.min(axis=1)
     clip_tol = np.array(level_tols) * np.maximum(np.abs(dens).max(axis=1), 1e-300)
     mass = c * (1.0 - q) * np.sum(table.weights * dens, axis=1)
-    recons = _matvec_rows(kernel, np.clip(dens, 0.0, None)) / c
+    recons = (kernel @ np.clip(dens, 0.0, None)[..., None])[..., 0] / c
     dev = np.abs(c * recons[:, sl] - norm_phi[sl]).max(axis=1)
     records = [
         BochnerLevel(

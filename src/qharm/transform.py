@@ -33,23 +33,20 @@ class TransformTable:
     lattice: QLattice
     bessel_values: np.ndarray = field(repr=False)
 
-    def jv_at(self, m: int) -> float:
-        """j_v(q^m, q^2) for an exponent sum m."""
-        i = m - 2 * self.lattice.n_min
-        if not 0 <= i < self.bessel_values.shape[0]:
-            raise IndexError(f"exponent sum {m} outside the kernel table")
-        return float(self.bessel_values[i])
-
-    def jv_row(self, n: int) -> np.ndarray:
-        """Vector j_v(q^{n+k}, q^2) for k running over the window."""
-        i = n - self.lattice.n_min
-        return self.bessel_values[i : i + self.lattice.size]
-
     def rows(self, exponents) -> np.ndarray:
-        """Hankel gather: rows(ns)[r] = jv_row(ns[r]), one fancy index."""
-        offsets = np.asarray(exponents, dtype=int) - self.lattice.n_min
+        """Hankel gather: rows(ns)[r, k] = j_v(q^{ns[r] + n_min + k}, q^2).
+
+        The one way to read rows of the kernel table: every exponent must be
+        an integer (else TypeError) in the window (else IndexError).
+        """
+        exps = np.asarray(exponents)
+        if exps.size and exps.dtype.kind not in "iu":
+            raise TypeError(f"row exponents must be integers, got {exps.dtype}")
+        offsets = exps.astype(int) - self.lattice.n_min
         if offsets.size and (offsets.min() < 0 or offsets.max() >= self.lattice.size):
-            raise IndexError("row exponent outside the window")
+            raise IndexError(
+                f"row exponent outside the window [{self.lattice.n_min}, {self.lattice.n_max}]"
+            )
         return self.bessel_values[offsets[:, None] + np.arange(self.lattice.size)]
 
     @cached_property

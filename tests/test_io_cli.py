@@ -292,6 +292,13 @@ class TestCLIJudgements:
             main(["positivity", phi_csv, "--points", "-2,0,3"])
         assert exc.value.code == 2
 
+    def test_positivity_empty_points_refused(self, phi_csv, capsys):
+        # "--points=" names an empty grid: refused, not the default grid
+        assert main(["positivity", phi_csv, "--points="]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "at least one point" in captured.err
+
     def test_bochner_requires_origin_row(self, compact_csv, capsys):
         path, _ = compact_csv  # written without origin row
         assert main(["bochner", path]) == 2

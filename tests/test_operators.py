@@ -42,6 +42,17 @@ class TestTranslation:
                 scale = max(np.abs(f.values).max(), 1e-300)
                 assert np.abs(a.values - b.values).max() / scale < 1e-10
 
+    # the window of table05 is [-20, 60]; -120 once wrapped round to a wrong
+    # kernel row and 61 once failed with a broadcast error
+    @pytest.mark.parametrize("n", [-120, -21, 61, 200])
+    def test_out_of_window_exponents_refused(self, table05, rng, n):
+        f = random_compact(table05.lattice, rng)
+        with pytest.raises(IndexError):
+            translation(f, n, table05)
+        for triple in ((n, 0, 0), (0, n, 0), (0, 0, n)):
+            with pytest.raises(IndexError):
+                translation_kernel(*triple, table05)
+
     def test_kernel_symmetric_in_arguments(self, table05):
         d1 = translation_kernel(1, 3, -2, table05)
         d2 = translation_kernel(3, -2, 1, table05)
@@ -62,7 +73,7 @@ class TestTranslation:
             # D_v vanishes up to roundoff for many triples, so errors are
             # measured against the all-absolute version of the same sum
             absolute = params.c_qv ** 2 * (1.0 - params.q) * (
-                (rows * (table.weights * np.abs(table.jv_row(x)))) @ rows.T
+                (rows * (table.weights * np.abs(table.rows([x])[0]))) @ rows.T
             )
             assert np.all(np.abs(d - scalar) <= 1e-13 * absolute)
             assert np.all(np.abs(d - d.T) <= 1e-13 * absolute)
@@ -84,9 +95,10 @@ class TestTranslation:
     def test_translation_of_bessel_probe_factorizes(self, table05):
         # T_u j_v(q^n .) = j_v(q^{n+u}) j_v(q^n .)
         n, u = 2, 4
-        probe = LatticeFunction(table05.lattice, table05.jv_row(n).copy())
+        row = table05.rows([n])[0]
+        probe = LatticeFunction(table05.lattice, row)
         t = translation(probe, u, table05)
-        expect = table05.jv_at(n + u) * table05.jv_row(n)
+        expect = table05.bessel_values[n + u - 2 * table05.lattice.n_min] * row
         np.testing.assert_allclose(t.values, expect, atol=1e-13)
 
 

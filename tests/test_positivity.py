@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,30 @@ class TestGram:
         phi = positive_type_fn(table05, rng)
         with pytest.raises(ValueError):
             gram_matrix(phi, [1, 1, 2], table05)
+
+    def test_empty_grid_rejected(self, table05, rng):
+        phi = positive_type_fn(table05, rng)
+        with pytest.raises(ValueError, match="at least one point"):
+            gram_matrix(phi, [], table05)
+        with pytest.raises(ValueError, match="at least one point"):
+            is_q_positive_type(phi, [], table05)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stack_equals_per_row_gram(self, regime_table, rng, dtype):
+        # one stacked product gives each row's matrix bit for bit
+        lat = regime_table.lattice
+        phis = [positive_type_fn(regime_table, rng) for _ in range(5)]
+        if dtype is complex:
+            phis = [LatticeFunction(lat, (1.0 + 0.3j) * p.values) for p in phis]
+        stack = np.stack([fourier_transform(p, regime_table).values for p in phis])
+        assert stack.dtype == dtype
+        for pts in (default_point_exponents(regime_table), [0, 1, 2, -1], [3]):
+            entries = qharm.positivity._spectral_gram(stack, pts, regime_table).entries
+            assert entries.shape == (len(phis), len(pts), len(pts))
+            for phi, got in zip(phis, entries):
+                want = gram_matrix(phi, pts, regime_table).entries
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
 
     def test_positive_type_accepted(self, regime_table, rng):
         phi = positive_type_fn(regime_table, rng)
@@ -151,7 +177,7 @@ class TestMeasures:
         lat, q, w = table.lattice, table.params.q, table.weights
         xi = QMeasure(lat, random_measure_weights(lat, rng))
         rho = QMeasure(lat, random_measure_weights(lat, rng))
-        f = LatticeFunction(lat, table.jv_row(2).copy())
+        f = LatticeFunction(lat, table.rows([2])[0])
         total, abs_total = 0.0, 0.0
         for i, n in enumerate(lat.indices):
             if xi.weights[i] == 0.0:
@@ -167,7 +193,7 @@ class TestMeasures:
     def test_convolution_scale_output(self, table05, rng):
         xi = QMeasure(table05.lattice, random_measure_weights(table05.lattice, rng))
         rho = QMeasure(table05.lattice, random_measure_weights(table05.lattice, rng))
-        probe = LatticeFunction(table05.lattice, table05.jv_row(2).copy())
+        probe = LatticeFunction(table05.lattice, table05.rows([2])[0])
         val, scale = measure_convolution(xi, rho, probe, table05, with_scale=True)
         assert scale >= abs(val) * (1.0 - 1e-12)
 
@@ -459,25 +485,29 @@ class TestRealRoute:
     def test_real_phi_stays_float64(self, regime_table, monkeypatch):
         eig_dtypes, products = [], []
         original_eig = np.linalg.eigvalsh
-        original_matvec = qharm.positivity._matvec_rows
 
         def eig(a):
             eig_dtypes.append(a.dtype)
             return original_eig(a)
 
-        def matvec(matrix, stack):
-            out = original_matvec(matrix, stack)
-            products.append((matrix is regime_table.kernel_matrix, out.dtype))
-            return out
+        class KernelSpy(np.ndarray):
+            # a cast or copy of the spy is another KernelSpy, not the spy
+            def __matmul__(self, other):
+                out = np.asarray(self) @ other
+                products.append((self is spy, np.ndim(other), out.dtype))
+                return out
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", eig)
-        monkeypatch.setattr(qharm.positivity, "_matvec_rows", matvec)
         phi = fourier_transform(gaussian_density(regime_table, width_exp=1), regime_table)
         assert phi.values.dtype == np.float64
-        assert bochner_reconstruct(phi, range(1, 11), regime_table).accepted
+        table = replace(regime_table)  # a fresh instance, so the spy stays out of the shared cache
+        spy = regime_table.kernel_matrix.view(KernelSpy)
+        table.__dict__["kernel_matrix"] = spy
+        monkeypatch.setattr(np.linalg, "eigvalsh", eig)
+        assert bochner_reconstruct(phi, range(1, 11), table).accepted
         assert eig_dtypes == [np.float64]
-        # densities and reconstructions from the table's own kernel, no copy
-        assert products == [(True, np.float64)] * 2
+        # densities and reconstructions as stacked products on the table's own
+        # kernel, no copy, then the limit measure's transform
+        assert products == [(True, 3, np.float64)] * 2 + [(True, 1, np.float64)]
 
     @pytest.mark.parametrize(
         "regime", [(0.5, 0.0, -20, 60), (0.9, 1.5, -30, 160)], ids=lambda r: f"q{r[0]}-v{r[1]}"

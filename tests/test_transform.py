@@ -31,22 +31,30 @@ class TestTableConstruction:
 
     def test_jv_row_covers_window(self, table05):
         lat = table05.lattice
-        row = table05.jv_row(0)
+        row = table05.rows([0])[0]
         assert row.shape == (lat.size,)
-        # jv_row(k)[i] = j_v(q^{k + n_min + i}), so the first entry of row 0
-        # is the table value at the window bottom
-        assert row[0] == table05.jv_at(lat.n_min)
+        # rows([k])[0][i] = j_v(q^{k + n_min + i}), so the first entry of row 0
+        # is the table value at the window bottom, bessel_values[n_min - 2 n_min]
+        assert row[0] == table05.bessel_values[-lat.n_min]
 
     def test_rows_gathers_jv_rows(self, table05):
         ns = [-3, 0, 7]
-        expect = np.stack([table05.jv_row(n) for n in ns])
+        lat = table05.lattice
+        expect = np.stack(
+            [table05.bessel_values[n - lat.n_min : n - lat.n_min + lat.size] for n in ns]
+        )
         np.testing.assert_array_equal(table05.rows(ns), expect)
         with pytest.raises(IndexError):
             table05.rows([table05.lattice.n_max + 1])
 
-    def test_jv_at_out_of_range(self, table05):
+    @pytest.mark.parametrize("n", [-120, -21, 61, 200])  # the window is [-20, 60]
+    def test_rows_refuse_out_of_window(self, table05, n):
         with pytest.raises(IndexError):
-            table05.jv_at(1000)
+            table05.rows([0, n])
+
+    def test_rows_refuse_fractional_exponents(self, table05):
+        with pytest.raises(TypeError):
+            table05.rows([0, 2.5])
 
     def test_kernel_matrix_hankel_structure(self, table05):
         M = table05.kernel_matrix
@@ -56,7 +64,7 @@ class TestTableConstruction:
             params.c_qv
             * (1.0 - params.q)
             * params.q ** ((2 * params.v + 2) * lat.indices[n])
-            * table05.jv_at(int(lat.indices[k] + lat.indices[n]))
+            * table05.bessel_values[lat.indices[k] + lat.indices[n] - 2 * lat.n_min]
         )
         assert M[k, n] == pytest.approx(expect, rel=1e-14)
 
@@ -141,7 +149,7 @@ class TestIdentities:
         # normalized statement: F(j_v(q^n .))(q^k) ~ q^{-2n(v+1)}/((1-q)c) delta_nk
         params, lat = table05.params, table05.lattice
         n = 3
-        probe = LatticeFunction(lat, table05.jv_row(n).copy())
+        probe = LatticeFunction(lat, table05.rows([n])[0])
         ff = fourier_transform(probe, table05)
         spike = params.q ** (-2.0 * n * (params.v + 1.0)) / ((1.0 - params.q) * params.c_qv)
         assert ff.at_index(n) == pytest.approx(spike, rel=1e-12)

@@ -220,7 +220,7 @@ def _ref_s3_product(table):
         rho = QMeasure(lat, random_measure_weights(lat, rng))
         f_xi, f_rho = measure_fourier_transform(xi, table), measure_fourier_transform(rho, table)
         for n in idx[:: max(1, len(idx) // 12)]:
-            row = table.jv_row(int(n))
+            row = table.rows([n])[0]
             lhs = measure_convolution(xi, rho, LatticeFunction(lat, row.copy()), table)
             rhs = f_xi.at_index(int(n)) * f_rho.at_index(int(n))
             scale_xi = (1.0 - q) * np.sum(w * xi.weights * np.abs(row))
