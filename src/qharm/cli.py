@@ -203,7 +203,7 @@ def _cmd_positivity(args: argparse.Namespace) -> int:
     params = _params(args)
     table = build_transform_table(params, f.lattice)
     points = None
-    if args.points is not None:  # "--points=" names an empty grid, refused below
+    if args.points is not None:  # "--points=" is an empty grid, which the Gram check refuses
         points = [int(s) for s in args.points.split(",")] if args.points else []
     verdict = is_q_positive_type(f, points, table, args.tol)
     payload = {
