@@ -10,7 +10,13 @@ Two trees that print the same digest give the same bytes for:
   [-20, 60] and q=0.9 v=1.5 [-30, 160];
 - the PSD verdicts, witnesses and Gram entries of the same functions on the
   default grid and on two explicit grids;
-- translations and translation-kernel values at a few lattice points.
+- translations and translation-kernel values at a few lattice points;
+- the D_v probe reports at q=0.5 [-8, 12], q=0.9 v=1.5 [-6, 10] and q=0.3
+  v=1.5 [-30, 15], and one (X, P, P) stack of translation_kernel_matrix at
+  q=0.9 v=1.5;
+- the checked scalar j_v at the oracle-pin arguments of
+  tests/data/oracle_pins.json and at three cancelling arguments near q = 1,
+  with the name of the exception where it refuses.
 
 A refactor that promises unchanged outputs should leave the digest as it is.
 The script imports the qharm next to it, so copy it into another checkout to
@@ -21,13 +27,15 @@ Usage: python3 scripts/output_digest.py
 from __future__ import annotations
 
 import hashlib
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 from qharm import (  # noqa: E402
     LatticeFunction,
     QLattice,
@@ -37,12 +45,20 @@ from qharm import (  # noqa: E402
     fourier_transform,
     gram_matrix,
     is_q_positive_type,
+    qv_membership_probe,
     report_to_json,
     run_suite,
     translation,
     translation_kernel,
 )
+from qharm.errors import QHarmError  # noqa: E402
+from qharm.operators import translation_kernel_matrix  # noqa: E402
 from qharm.testfunctions import gaussian_density  # noqa: E402
+
+try:
+    from qharm.bessel import hahn_exton_jv  # noqa: E402
+except ImportError:  # trees where the checked route had its own name
+    from qharm.bessel import hahn_exton_jv_stable as hahn_exton_jv  # noqa: E402
 
 SUITE_REGIMES = [
     (0.5, 0.0, -20, 60),
@@ -54,6 +70,10 @@ SUITE_REGIMES = [
 BOCHNER_REGIMES = [(0.5, 0.0, -20, 60), (0.9, 1.5, -30, 160)]
 LEVELS = [range(1, 3), range(1, 11), range(1, 21), range(1, 41)]
 GRIDS = [None, [0, 1, 2, -1], [3, 5, 8, 13]]
+PROBE_REGIMES = [(0.5, 0.0, -8, 12), (0.9, 1.5, -6, 10), (0.3, 1.5, -30, 15)]
+# (z, q_base, v) where the series cancels near q = 1: two lattice arguments
+# and one off the lattice, which is refused
+JV_CANCELLING = [(1.0, 0.98, 0.0), (1.0, 0.9604, 0.0), (1.5, 0.98, 0.0)]
 
 
 def _array_bytes(a) -> bytes:
@@ -90,6 +110,19 @@ def main() -> None:
                 h.update(_array_bytes(translation(f, x, table).values))
         for x, y, z in [(0, 0, 0), (1, 2, 3), (-2, 4, 9), (lat.n_min, 0, lat.n_max)]:
             h.update(_array_bytes(translation_kernel(x, y, z, table)))
+        if regime == BOCHNER_REGIMES[1]:
+            xs = np.arange(-6, 11)
+            h.update(_array_bytes(translation_kernel_matrix(xs, xs, table)))
+    for q, v, n_min, n_max in PROBE_REGIMES:
+        report = qv_membership_probe(QParams(q=q, v=v), QLattice(q, n_min, n_max))
+        h.update(report_to_json(report).encode())
+    pins = json.loads((ROOT / "tests" / "data" / "oracle_pins.json").read_text())
+    jv_args = [tuple(p["params"][k] for k in "zpv") for p in pins if p["kind"] == "jv"]
+    for args in jv_args + JV_CANCELLING:
+        try:
+            h.update(_array_bytes(hahn_exton_jv(*args)))
+        except QHarmError as exc:
+            h.update(type(exc).__name__.encode())
     print(h.hexdigest())
 
 

@@ -15,7 +15,6 @@ from .qlattice import (
     LatticeFunction,
     QLattice,
     QParams,
-    hahn_exton_jv,
     hahn_exton_jv_detail,
     jackson_integral,
     lp_norm,
@@ -23,7 +22,7 @@ from .qlattice import (
     q_pochhammer_finite,
     q_pochhammer_infinite,
 )
-from .bessel import bessel_bound_envelope, hahn_exton_jv_stable, lattice_jv_table
+from .bessel import bessel_bound_envelope, hahn_exton_jv, lattice_jv_table
 from .transform import (
     TransformTable,
     build_transform_table,

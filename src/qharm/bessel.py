@@ -134,8 +134,9 @@ def lattice_jv_table(params: QParams, m_lo: int, m_hi: int) -> np.ndarray:
     return out
 
 
-def hahn_exton_jv_stable(z: float, q_base: float, v: float) -> float:
-    """Series evaluation with a recurrence fallback for cancelling arguments.
+def hahn_exton_jv(z: float, q_base: float, v: float) -> float:
+    """Normalized Hahn-Exton j_v(z, q_base): the series of
+    :func:`hahn_exton_jv_detail`, checked for cancellation.
 
     When the alternating series loses precision and z sits on the lattice
     z = q^m (q = sqrt(q_base), any integer m), the value is taken from the

@@ -6,6 +6,7 @@ All output is deterministic for fixed inputs and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import List, Optional, Tuple
 
@@ -21,7 +22,7 @@ from .lattice_io import (
 )
 from .operators import DEFAULT_PROBE_TOL, gauss_kernel, qv_membership_probe, convolution
 from .positivity import DEFAULT_PSD_TOL, bochner_reconstruct, is_q_positive_type
-from .bessel import hahn_exton_jv_stable
+from .bessel import hahn_exton_jv
 from .qlattice import (
     LatticeFunction,
     QLattice,
@@ -71,20 +72,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--x", type=float, help="gauss kernel point")
     p_eval.add_argument("--t", type=float, default=1.0, help="gauss kernel width")
     _add_common(p_eval)
+    p_eval.set_defaults(run=functools.partial(_cmd_eval, parser=parser))
 
     p_tr = sub.add_parser("transform", help="q-Bessel Fourier transform of a CSV")
     p_tr.add_argument("input", help="lattice function CSV")
     _add_common(p_tr)
+    p_tr.set_defaults(run=_cmd_transform)
 
     p_cv = sub.add_parser("convolve", help="q-convolution of two CSVs")
     p_cv.add_argument("left", help="first lattice function CSV")
     p_cv.add_argument("right", help="second lattice function CSV")
     p_cv.add_argument("--route", choices=["spectral", "direct"], default="spectral")
     _add_common(p_cv)
+    p_cv.set_defaults(run=_cmd_convolve)
 
     p_probe = sub.add_parser("probe-qv", help="window scan of the translation kernel sign")
     # the probe default window is deliberately small; the kernel scan is cubic
     _add_common(p_probe, (-8, 12), DEFAULT_PROBE_TOL, "kernel values below -tol are negativity")
+    p_probe.set_defaults(run=_cmd_probe)
 
     p_pos = sub.add_parser("positivity", help="PSD test of the translation Gram matrix")
     p_pos.add_argument("input", help="lattice function CSV")
@@ -96,11 +101,13 @@ def build_parser() -> argparse.ArgumentParser:
         "with a negative exponent needs the = form, e.g. --points=-2,0,3",
     )
     _add_common(p_pos, tol=DEFAULT_PSD_TOL, tol_help="PSD tolerance of the Gram test")
+    p_pos.set_defaults(run=_cmd_positivity)
 
     p_boch = sub.add_parser("bochner", help="constructive Bochner pipeline")
     p_boch.add_argument("input", help="positive-type function CSV")
     p_boch.add_argument("--levels", type=int, default=10, help="cutoff levels 1..N")
     _add_common(p_boch, tol=DEFAULT_PSD_TOL, tol_help="tolerance of the level and limit checks")
+    p_boch.set_defaults(run=_cmd_bochner)
 
     p_ver = sub.add_parser("verify", help="run the full verification suite")
     p_ver.add_argument(
@@ -110,6 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated statement ids to run (others are skipped)",
     )
     _add_common(p_ver, (-20, 60), tol_help="override of every statement's tolerance")
+    p_ver.set_defaults(run=_cmd_verify)
     return parser
 
 
@@ -137,6 +145,16 @@ def _fmt(value) -> str:
     return f"{float(value):.15g}"
 
 
+def _load(args: argparse.Namespace, *paths: str, origin: bool = False) -> tuple:
+    """The CSV functions at `paths` on the lattice of base --q, then the
+    kernel table of --q, --v on the first one's window.  origin=True refuses
+    a first CSV without its phi(0) row before any table is built."""
+    fs = [load_lattice_function(path, args.q) for path in paths]
+    if origin and fs[0].value_at_zero is None:
+        raise ValueError("input CSV must carry the origin row (phi(0))")
+    return (*fs, build_transform_table(_params(args), fs[0].lattice))
+
+
 def _cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     params = _params(args)
     name = args.function
@@ -155,7 +173,7 @@ def _cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         if args.z is None:
             parser.error("eval jv requires --z")
         qbase = args.q ** 2 if args.qbase is None else args.qbase
-        val = hahn_exton_jv_stable(args.z, qbase, args.v)
+        val = hahn_exton_jv(args.z, qbase, args.v)
     elif name == "gauss_kernel":
         if args.x is None:
             parser.error("eval gauss_kernel requires --x")
@@ -169,19 +187,14 @@ def _cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
-    f = load_lattice_function(args.input, args.q)
-    params = _params(args)
-    table = build_transform_table(params, f.lattice)
+    f, table = _load(args, args.input)
     out = fourier_transform(f, table)
     _emit(lattice_function_to_csv(out), args.output)
     return 0
 
 
 def _cmd_convolve(args: argparse.Namespace) -> int:
-    f = load_lattice_function(args.left, args.q)
-    g = load_lattice_function(args.right, args.q)
-    params = _params(args)
-    table = build_transform_table(params, f.lattice)
+    f, g, table = _load(args, args.left, args.right)
     out = convolution(f, g, table, route=args.route)
     _emit(lattice_function_to_csv(out), args.output)
     return 0
@@ -199,9 +212,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 
 
 def _cmd_positivity(args: argparse.Namespace) -> int:
-    f = load_lattice_function(args.input, args.q)
-    params = _params(args)
-    table = build_transform_table(params, f.lattice)
+    f, table = _load(args, args.input)
     points = None
     if args.points is not None:  # "--points=" is an empty grid, which the Gram check refuses
         points = [int(s) for s in args.points.split(",")] if args.points else []
@@ -220,12 +231,7 @@ def _cmd_positivity(args: argparse.Namespace) -> int:
 
 
 def _cmd_bochner(args: argparse.Namespace) -> int:
-    f = load_lattice_function(args.input, args.q)
-    if f.value_at_zero is None:
-        sys.stderr.write("bochner: input CSV must carry the origin row (phi(0))\n")
-        return 2
-    params = _params(args)
-    table = build_transform_table(params, f.lattice)
+    f, table = _load(args, args.input, origin=True)
     report = bochner_reconstruct(f, range(1, args.levels + 1), table, args.tol)
     sys.stdout.write(report_to_json(report))
     if args.output is not None and report.limit_measure is not None:
@@ -247,20 +253,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "eval":
-            return _cmd_eval(args, parser)
-        if args.command == "transform":
-            return _cmd_transform(args)
-        if args.command == "convolve":
-            return _cmd_convolve(args)
-        if args.command == "probe-qv":
-            return _cmd_probe(args)
-        if args.command == "positivity":
-            return _cmd_positivity(args)
-        if args.command == "bochner":
-            return _cmd_bochner(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
+        return args.run(args)
     except CSVFormatError as exc:
         sys.stderr.write(f"{args.command}: CSV parse error: {exc}\n")
         return 2

@@ -26,9 +26,9 @@ from .transform import (
     TransformTable,
     _at_zero,
     _check_lattice,
+    _hankel_form,
     _transform_rows,
     build_transform_table,
-    fourier_transform,
 )
 
 # a scanned D_v value below -DEFAULT_PROBE_TOL is reported as negativity
@@ -43,17 +43,10 @@ def translation(
 ) -> LatticeFunction:
     """T_x f(y) = c int F f(t) j_v(xt) j_v(yt) t^{2v+1} d_qt at x = q^{x_exponent}.
 
-    Computed as the transform of F f multiplied by the Bessel row of x; the
-    summation order is the ascending lattice order of the dense matrix
-    product, so results are deterministic.
+    The one column of :func:`all_translations` at x: the transform of F f
+    multiplied by the Bessel row of x.
     """
-    ff = fourier_transform(f, table)
-    weighted = LatticeFunction(
-        table.lattice,
-        ff.values * table.rows([x_exponent])[0],
-        value_at_zero=None,
-    )
-    return fourier_transform(weighted, table)
+    return LatticeFunction(table.lattice, all_translations(f, [x_exponent], table)[:, 0])
 
 
 def all_translations(
@@ -61,8 +54,9 @@ def all_translations(
 ) -> np.ndarray:
     """Columns T_{x_i} f for x_i = q^{exponents[i]}, as one matrix product.
 
-    Column i is F(F f . j_v(x_i .)), the translation route of
-    :func:`translation`, evaluated for every requested point at once.
+    Column i is F(F f . j_v(x_i .)), evaluated for every requested point at
+    once in the ascending lattice order of the dense product, so results are
+    deterministic.
     """
     _check_lattice(f, table)
     return _all_translations(f.values, exponents, table)
@@ -95,15 +89,12 @@ def translation_kernel_matrix(
     :func:`translation_kernel` as matrix products.
 
     An int x gives one (P, P) matrix; an array of X exponents gives the
-    (X, P, P) stack from one Hankel gather and one stacked product, which
-    runs one matrix product per slab, so slab k equals the matrix of
-    x_exponents[k] bit for bit.
+    (X, P, P) stack, a Hankel form in the weighted Bessel rows of x, whose
+    slab k equals the matrix of x_exponents[k] bit for bit.
     """
     params = table.params
-    rows = table.rows(exponents)
     x_rows = table.rows(np.ravel(x_exponents))
-    weighted = rows * (table.weights * x_rows)[:, None, :]
-    core = weighted @ rows.T
+    core = _hankel_form(table, table.weights * x_rows, exponents)
     core *= params.c_qv ** 2 * (1.0 - params.q)
     return core[0] if np.ndim(x_exponents) == 0 else core
 

@@ -17,6 +17,7 @@ from .qlattice import LatticeFunction, QLattice, QParams, _lp_norms, lp_norm
 from .transform import (
     TransformTable,
     _check_lattice,
+    _hankel_form,
     _transform_rows,
     clean_inversion_range,
     fourier_transform,
@@ -65,12 +66,10 @@ def gram_matrix(
 def _spectral_gram(
     spectrum: np.ndarray, point_exponents: Sequence[int], table: TransformTable
 ) -> GramMatrix:
-    """The Gram matrix as a quadratic form in the spectrum F phi.
+    """The Gram matrix as a Hankel form in the spectrum F phi.
 
-    A stack of spectra (..., N) gives the stack of Gram matrices (..., P, P)
-    from one stacked product, which runs one matrix product per slab, so each
-    matrix equals the matrix of its spectrum alone bit for bit.  An empty or
-    repeated point list is refused with ValueError.
+    A stack of spectra (..., N) gives the stack of Gram matrices (..., P, P).
+    An empty or repeated point list is refused with ValueError.
     """
     pts = list(point_exponents)
     if not pts:
@@ -80,9 +79,8 @@ def _spectral_gram(
     for n in pts:
         table.lattice.index_of(n)  # bounds check
     params = table.params
-    rows = table.rows(pts)
     scale = params.c_qv * (1.0 - params.q) * table.weights
-    entries = (rows * (scale * spectrum)[..., None, :]) @ rows.T
+    entries = _hankel_form(table, scale * spectrum, pts)
     return GramMatrix(point_exponents=pts, entries=entries)
 
 

@@ -182,11 +182,6 @@ def _jv_series(z: float, q_base: float, v: float, denom_floor: float) -> JvResul
     return JvResult(value, max_term, cancel)
 
 
-def hahn_exton_jv(z: float, q_base: float, v: float) -> float:
-    """Value-only wrapper around :func:`hahn_exton_jv_detail`."""
-    return hahn_exton_jv_detail(z, q_base, v).value
-
-
 @dataclass(frozen=True)
 class QParams:
     """Deformation parameters (q, v) plus the derived transform constants.
@@ -351,8 +346,8 @@ def lp_norm(f: LatticeFunction, p: float, params: QParams) -> float:
 
 def _lp_norms(values: np.ndarray, lattice: QLattice, p: float, params: QParams):
     """:func:`lp_norm` of each row of a (K, N) stack, or of one (N,) vector."""
-    if p < 1.0:
-        raise ValueError(f"p must be at least 1, got {p}")
+    if not (math.isfinite(p) and p >= 1.0):
+        raise ValueError(f"p must be a finite number at least 1, got {p}")
     q = lattice.q
     w = q ** ((2.0 * params.v + 2.0) * lattice.indices.astype(float))
     total = (w * np.abs(values) ** p).sum(axis=-1)

@@ -110,6 +110,15 @@ def _transform_rows(values: np.ndarray, table: TransformTable) -> np.ndarray:
     return (table.kernel_matrix @ values.T).T
 
 
+def _hankel_form(table: TransformTable, s: np.ndarray, exponents) -> np.ndarray:
+    """H[..., i, j] = sum_k rows[i, k] s[..., k] rows[j, k] for the Hankel
+    rows of `exponents`: a (..., N) stack of s gives the (..., P, P) stack
+    from one stacked product, which runs one matrix product per slab, so
+    each slab equals the form of its s alone bit for bit."""
+    rows = table.rows(exponents)
+    return (rows * s[..., None, :]) @ rows.T
+
+
 def _at_zero(weighted: np.ndarray, table: TransformTable) -> np.ndarray:
     """F f(0) from the weighted rows q^{n(2v+2)} f(q^n): the j_v(0)=1 limit."""
     return table.params.c_qv * (1.0 - table.params.q) * weighted.sum(axis=-1)

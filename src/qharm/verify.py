@@ -37,6 +37,7 @@ from .operators import (
     translation_kernel_matrix,
 )
 from .positivity import (
+    DEFAULT_PSD_TOL,
     QMeasure,
     _grid_sweep,
     _quadratic_forms,
@@ -89,7 +90,7 @@ def _psd_defect(verdicts) -> float:
     return max([0.0] + [-v.min_eigenvalue / v.scale for v in verdicts])
 
 
-CheckFn = Callable[[TransformTable, float], Tuple[float, str]]
+CheckFn = Callable[[TransformTable], Tuple[float, str]]
 
 
 def _registry() -> List[Tuple[str, float, CheckFn]]:
@@ -104,7 +105,7 @@ def _registry() -> List[Tuple[str, float, CheckFn]]:
     # in the same order; each stage runs once on the stack through the
     # private core of the one-function checker.
 
-    def prop1(table: TransformTable, tol: float) -> Tuple[float, str]:
+    def prop1(table: TransformTable) -> Tuple[float, str]:
         ns = list(range(-5, 6))
         values, targets = _orthogonality_values(ns, ns, table)
         norms = np.diag(targets)
@@ -113,33 +114,33 @@ def _registry() -> List[Tuple[str, float, CheckFn]]:
         worst = float(rel[i, j])
         return worst, f"worst at (n,m)=({ns[i]},{ns[j]})" if worst > 0.0 else ""
 
-    def prop2(table: TransformTable, tol: float) -> Tuple[float, str]:
+    def prop2(table: TransformTable) -> Tuple[float, str]:
         lat = table.lattice
         ms = np.arange(2 * lat.n_min, 2 * lat.n_max + 1)
         env = bessel_bound_envelope(table.params, ms)
         excess = float((np.abs(table.bessel_values) - env).max())
         return max(excess, 0.0), "max |j| - bound over the kernel table"
 
-    def thm1_inv(table: TransformTable, tol: float) -> Tuple[float, str]:
+    def thm1_inv(table: TransformTable) -> Tuple[float, str]:
         rng = np.random.default_rng(_SEED)
         (draws,) = draw_stacks(table.lattice, rng, 20, "compact")
         errors = _inversion_errors(draws, table)[0]
         return float(errors.max()), "20 random compact draws, interior sup error"
 
-    def thm1_plan(table: TransformTable, tol: float) -> Tuple[float, str]:
+    def thm1_plan(table: TransformTable) -> Tuple[float, str]:
         rng = np.random.default_rng(_SEED + 1)
         (draws,) = draw_stacks(table.lattice, rng, 20, "compact")
         errors = _plancherel_errors(draws, table)[2]
         return float(errors.max()), "20 random compact draws, relative norm error"
 
-    def prop3(table: TransformTable, tol: float) -> Tuple[float, str]:
+    def prop3(table: TransformTable) -> Tuple[float, str]:
         rng = np.random.default_rng(_SEED + 2)
         (draws,) = draw_stacks(table.lattice, rng, 20, "compact")
         sup, bound = _l1_bounds(draws, table)
         worst = float((sup / bound - 1.0).max())
         return max(worst, 0.0), "max relative excess of sup|Ff| over B ||f||_1"
 
-    def prop4(table: TransformTable, tol: float) -> Tuple[float, str]:
+    def prop4(table: TransformTable) -> Tuple[float, str]:
         rng = np.random.default_rng(_SEED + 3)
         lat = table.lattice
         (draws,) = draw_stacks(lat, rng, 5, "compact")
@@ -156,7 +157,7 @@ def _registry() -> List[Tuple[str, float, CheckFn]]:
             worst = max(worst, float((dev / scales).max()))
         return worst, "spectral vs kernel translation on 5 draws x 5 points"
 
-    def prop5(table: TransformTable, tol: float) -> Tuple[float, str]:
+    def prop5(table: TransformTable) -> Tuple[float, str]:
         rng = np.random.default_rng(_SEED + 4)
         lat = table.lattice
         fs, gs = draw_stacks(lat, rng, 5, "compact", "compact")
@@ -172,7 +173,7 @@ def _registry() -> List[Tuple[str, float, CheckFn]]:
             worst = max(worst, float(np.abs(spec[sl] - direct[sl]).max()) / scale)
         return worst, "spectral vs direct convolution, 5 pairs, interior"
 
-    def prop6_kernel(table: TransformTable, tol: float) -> Tuple[float, str]:
+    def prop6_kernel(table: TransformTable) -> Tuple[float, str]:
         gauss_in = gaussian_density(table)
         ff = fourier_transform(gauss_in, table)
         target = gauss_kernel_function(1.0, table.params, table.lattice)
@@ -180,7 +181,7 @@ def _registry() -> List[Tuple[str, float, CheckFn]]:
         dev = float(np.abs(ff.values[sl] - target.values[sl]).max())
         return dev, "F of the q-Gaussian against the closed-form kernel"
 
-    def prop6_limit(table: TransformTable, tol: float) -> Tuple[float, str]:
+    def prop6_limit(table: TransformTable) -> Tuple[float, str]:
         q = table.params.q
         points = table.lattice.points
         # bounded test functions, each with f(0) = 1
@@ -192,7 +193,7 @@ def _registry() -> List[Tuple[str, float, CheckFn]]:
         worst = float(np.abs(integrals - 1.0).max())
         return worst, "delta limit at a=q^10 for bounded test functions"
 
-    def thm2(table: TransformTable, tol: float) -> Tuple[float, str]:
+    def thm2(table: TransformTable) -> Tuple[float, str]:
         rng = np.random.default_rng(_SEED + 5)
         f = random_compact(table.lattice, rng)
         g = random_compact(table.lattice, rng)
@@ -204,15 +205,15 @@ def _registry() -> List[Tuple[str, float, CheckFn]]:
                 bad = float("inf")
         return bad, "||f*g||_r finite for admissible exponent triples"
 
-    def def1(table: TransformTable, tol: float) -> Tuple[float, str]:
+    def def1(table: TransformTable) -> Tuple[float, str]:
         rng = np.random.default_rng(_SEED + 6)
         # phi = F(nonnegative density): positive type by construction
         (rho,) = draw_stacks(table.lattice, rng, 5, "nonneg")
         spectra = _transform_rows(_transform_rows(rho, table), table)
-        worst = _psd_defect(_spectral_verdict(spectra, None, table, tol))
+        worst = _psd_defect(_spectral_verdict(spectra, None, table, DEFAULT_PSD_TOL))
         return worst, "Gram PSD defect for 5 transform-of-density functions"
 
-    def prop7(table: TransformTable, tol: float) -> Tuple[float, str]:
+    def prop7(table: TransformTable) -> Tuple[float, str]:
         # phi = (F sigma)^2 with sigma >= 0 is positive type (its transform
         # is sigma * sigma >= 0) and nonnegative, so F phi is positive type
         # as well; a bare F sigma can have a signed transform image
@@ -220,31 +221,31 @@ def _registry() -> List[Tuple[str, float, CheckFn]]:
         (sigma,) = draw_stacks(table.lattice, rng, 3, "nonneg")
         phi = _transform_rows(sigma, table) ** 2
         spectra = _transform_rows(_transform_rows(phi, table), table)
-        worst = _psd_defect(v for r in _grid_sweep(spectra, table, tol) for v in r.verdicts)
+        worst = _psd_defect(v for r in _grid_sweep(spectra, table, DEFAULT_PSD_TOL) for v in r.verdicts)
         return worst, "PSD defect of Gram matrices of F phi"
 
-    def prop8(table: TransformTable, tol: float) -> Tuple[float, str]:
+    def prop8(table: TransformTable) -> Tuple[float, str]:
         rng = np.random.default_rng(_SEED + 8)
         rho, fs = draw_stacks(table.lattice, rng, 5, "nonneg", "compact")
         value, scale = _quadratic_forms(_transform_rows(rho, table), fs, table)
         worst = max(0.0, float((-value.real / scale).max()))
         return worst, "negativity defect of <phi*f, f>"
 
-    def cor1(table: TransformTable, tol: float) -> Tuple[float, str]:
+    def cor1(table: TransformTable) -> Tuple[float, str]:
         rng = np.random.default_rng(_SEED + 9)
         (rho,) = draw_stacks(table.lattice, rng, 5, "nonneg")
         low, sup = _spectrum_extremes(_transform_rows(rho, table), table)
         worst = max(0.0, float((-low / np.maximum(sup, 1e-300)).max()))
         return worst, "negativity defect of F phi"
 
-    def prop9(table: TransformTable, tol: float) -> Tuple[float, str]:
+    def prop9(table: TransformTable) -> Tuple[float, str]:
         rng = np.random.default_rng(_SEED + 10)
         (rho,) = draw_stacks(table.lattice, rng, 5, "nonneg")
         phi_at_zero = _at_zero(table.weights * rho, table)
         errors = _spectrum_masses(_transform_rows(rho, table), phi_at_zero, table)[2]
         return float(errors.max()), "mass of F phi against phi(0)"
 
-    def cor2(table: TransformTable, tol: float) -> Tuple[float, str]:
+    def cor2(table: TransformTable) -> Tuple[float, str]:
         rng = np.random.default_rng(_SEED + 11)
         phi = fourier_transform(nonneg_density(table.lattice, rng), table)
         xi = fourier_transform(phi, table)
@@ -254,23 +255,23 @@ def _registry() -> List[Tuple[str, float, CheckFn]]:
             neg = float("inf")
         return neg, "xi = F phi is nonnegative and Wiener-algebra consistent"
 
-    def prop10(table: TransformTable, tol: float) -> Tuple[float, str]:
+    def prop10(table: TransformTable) -> Tuple[float, str]:
         rng = np.random.default_rng(_SEED + 12)
         rho, fs = draw_stacks(table.lattice, rng, 3, "nonneg", "nonneg")
         products = _transform_rows(rho, table) * _transform_rows(fs, table)
         spectra = _transform_rows(products, table)
-        worst = _psd_defect(v for r in _grid_sweep(spectra, table, tol) for v in r.verdicts)
+        worst = _psd_defect(v for r in _grid_sweep(spectra, table, DEFAULT_PSD_TOL) for v in r.verdicts)
         return worst, "PSD defect of phi . F(f) for nonnegative f"
 
-    def cor3(table: TransformTable, tol: float) -> Tuple[float, str]:
+    def cor3(table: TransformTable) -> Tuple[float, str]:
         rng = np.random.default_rng(_SEED + 13)
         rho1, rho2 = draw_stacks(table.lattice, rng, 3, "nonneg", "nonneg")
         products = _transform_rows(rho1, table) * _transform_rows(rho2, table)
         spectra = _transform_rows(products, table)
-        worst = _psd_defect(_spectral_verdict(spectra, None, table, tol))
+        worst = _psd_defect(_spectral_verdict(spectra, None, table, DEFAULT_PSD_TOL))
         return worst, "PSD defect of products of positive-type functions"
 
-    def s3_product(table: TransformTable, tol: float) -> Tuple[float, str]:
+    def s3_product(table: TransformTable) -> Tuple[float, str]:
         # measures keep their mass at exponents >= -2: further out the
         # x^{2v+2} weight amplifies sub-noise kernel values beyond what
         # double precision can certify
@@ -282,12 +283,9 @@ def _registry() -> List[Tuple[str, float, CheckFn]]:
             worst = max(worst, measure_product_identity_error(xi, rho, table))
         return worst, "F(xi * rho) against F(xi) F(rho)"
 
-    def thm4(table: TransformTable, tol: float) -> Tuple[float, str]:
+    def thm4(table: TransformTable) -> Tuple[float, str]:
         rho = gaussian_density(table, width_exp=1)
         phi = fourier_transform(rho, table)
-        phi = LatticeFunction(
-            table.lattice, phi.values, value_at_zero=phi.value_at_zero
-        )
         rep = bochner_reconstruct(phi, range(1, 11), table)
         if not rep.accepted:
             return float("inf"), rep.rejection_reason or "pipeline rejected"
@@ -357,7 +355,7 @@ def run_suite(
         use_tol = default_tol if tol is None else tol
         t0 = time.perf_counter()
         try:
-            err, detail = check(table, use_tol)
+            err, detail = check(table)
         except Exception as exc:  # a crash is a failure with infinite error
             err, detail = float("inf"), f"exception: {exc!r}"
         ms = round((time.perf_counter() - t0) * 1000.0, 3)

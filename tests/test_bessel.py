@@ -8,6 +8,7 @@ import pytest
 
 import qharm.qlattice
 from qharm import (
+    PrecisionLossError,
     QLattice,
     QParams,
     bessel_bound_envelope,
@@ -270,3 +271,21 @@ class TestSeriesArrayPath:
             got = hahn_exton_jv_detail(z, q_base, 1.5)
             assert type(got.value) is float and type(got.cancellation) is bool
             assert got == _scalar_series(z, q_base, 1.5)
+
+
+class TestCheckedScalar:
+    """qharm.hahn_exton_jv serves or refuses a cancelling series, never returns it."""
+
+    # mpmath values (perfbench/reference.jv); the raw series sums to 1.41e24
+    # and -628.9 at these lattice arguments z = q^0
+    @pytest.mark.parametrize(
+        "q_base, want", [(0.98, 0.05736543116913019), (0.9604, 0.08344398505120142)]
+    )
+    def test_cancelling_lattice_argument_matches_mpmath(self, q_base, want):
+        assert hahn_exton_jv_detail(1.0, q_base, 0.0).cancellation
+        assert hahn_exton_jv(1.0, q_base, 0.0) == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    def test_cancelling_off_lattice_argument_refused(self):
+        # the raw series sums to 2.35e44 here; mpmath gives -0.0646
+        with pytest.raises(PrecisionLossError):
+            hahn_exton_jv(1.5, 0.98, 0.0)

@@ -336,6 +336,15 @@ class TestJacksonIntegral:
         with pytest.raises(ValueError):
             lp_norm(f, 0.5, params)
 
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_lp_norm_refuses_non_finite_p(self, p):
+        # p = inf once gave 1.0 for both constants below, and p = nan gave nan
+        params = QParams(q=0.5, v=0.0)
+        lat = QLattice(0.5, -5, 5)
+        for c in (3.0, 0.1):
+            with pytest.raises(ValueError):
+                lp_norm(LatticeFunction(lat, np.full(lat.size, c)), p, params)
+
 
 class TestDiagnostics:
     def test_vanishing_detected(self):
