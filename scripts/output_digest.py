@@ -76,6 +76,15 @@ PROBE_REGIMES = [(0.5, 0.0, -8, 12), (0.9, 1.5, -6, 10), (0.3, 1.5, -30, 15)]
 JV_CANCELLING = [(1.0, 0.98, 0.0), (1.0, 0.9604, 0.0), (1.5, 0.98, 0.0)]
 
 
+def _replace(record, **changes):
+    """A copy of a result record with some fields changed: NamedTuple
+    records through ``_replace``, dataclass records of older trees through
+    ``dataclasses.replace``."""
+    if hasattr(record, "_replace"):
+        return record._replace(**changes)
+    return replace(record, **changes)
+
+
 def _array_bytes(a) -> bytes:
     a = np.asarray(a)
     return f"{a.dtype}{a.shape}".encode() + a.tobytes()
@@ -85,8 +94,8 @@ def main() -> None:
     h = hashlib.sha256()
     for q, v, n_min, n_max in SUITE_REGIMES:
         result = run_suite(QParams(q=q, v=v), QLattice(q, n_min, n_max))
-        entries = [replace(e, runtime_ms=0.0) for e in result.entries]
-        h.update(report_to_json(replace(result, entries=entries)).encode())
+        entries = [_replace(e, runtime_ms=0.0) for e in result.entries]
+        h.update(report_to_json(_replace(result, entries=entries)).encode())
     for regime in BOCHNER_REGIMES:
         q, v, n_min, n_max = regime
         table = build_transform_table(QParams(q=q, v=v), QLattice(q, n_min, n_max))

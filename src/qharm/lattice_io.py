@@ -121,6 +121,8 @@ def _jsonable(obj: Any) -> Any:
         return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclass_fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):  # a NamedTuple report
+        return {k: _jsonable(v) for k, v in obj._asdict().items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(x) for x in obj]
     if isinstance(obj, np.ndarray):
@@ -142,5 +144,5 @@ def _jsonable(obj: Any) -> Any:
 
 
 def report_to_json(report: Any) -> str:
-    """Deterministic, strict JSON rendering of a report dataclass or dict."""
+    """Deterministic, strict JSON rendering of a report record or dict."""
     return json.dumps(_jsonable(report), indent=2, sort_keys=True, allow_nan=False) + "\n"

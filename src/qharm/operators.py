@@ -7,8 +7,7 @@ verification routes and the window positivity scan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -145,8 +144,7 @@ def _spectral_convolution(f_values: np.ndarray, g_values: np.ndarray, table: Tra
     return _transform_rows(prod, table), _at_zero(table.weights * prod, table)
 
 
-@dataclass(frozen=True)
-class YoungReport:
+class YoungReport(NamedTuple):
     p: float
     p_prime: float
     r: float
@@ -180,7 +178,7 @@ def _young_report(conv: np.ndarray, p: float, p_prime: float, table: TransformTa
     r = 1.0 / inv_r
     if not (1.0 < r <= 2.0):
         raise ValueError(f"r = {r} violates 1 < r <= 2")
-    norm_r = float(_lp_norms(conv, table.lattice, r, table.params))
+    norm_r = float(_lp_norms(conv, table.lattice, r, table.weights))
     return YoungReport(p=p, p_prime=p_prime, r=r, norm_r=norm_r, finite=bool(np.isfinite(norm_r)))
 
 
@@ -214,8 +212,7 @@ def gauss_kernel_function(
     return LatticeFunction(lattice, at_zero * decay, value_at_zero=at_zero)
 
 
-@dataclass(frozen=True)
-class GaussLimitReport:
+class GaussLimitReport(NamedTuple):
     a_values: Tuple[float, ...]
     integrals: Tuple[float, ...]
     target: float
@@ -258,8 +255,7 @@ def _gauss_limit_integrals(
     return out
 
 
-@dataclass(frozen=True)
-class QvProbeReport:
+class QvProbeReport(NamedTuple):
     q: float
     v: float
     n_min: int

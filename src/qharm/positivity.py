@@ -8,12 +8,12 @@ with the violating coefficient vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import LatticeMismatchError
-from .qlattice import LatticeFunction, QLattice, QParams, _lp_norms, lp_norm
+from .qlattice import LatticeFunction, QLattice, QParams, _lp_norms
 from .transform import (
     TransformTable,
     _check_lattice,
@@ -40,8 +40,7 @@ def default_point_exponents(table: TransformTable) -> List[int]:
     return pts
 
 
-@dataclass
-class GramMatrix:
+class GramMatrix(NamedTuple):
     """Translation Gram matrix: entries[r][l] = T_{x_r} phi (x_l)."""
 
     point_exponents: List[int]
@@ -84,8 +83,7 @@ def _spectral_gram(
     return GramMatrix(point_exponents=pts, entries=entries)
 
 
-@dataclass(frozen=True)
-class PositivityVerdict:
+class PositivityVerdict(NamedTuple):
     positive: bool
     min_eigenvalue: float
     scale: float
@@ -157,8 +155,7 @@ def _spectral_verdict(
     return verdicts if spectrum.ndim > 1 else verdicts[0]
 
 
-@dataclass(frozen=True)
-class GridSweepReport:
+class GridSweepReport(NamedTuple):
     verdicts: Tuple[PositivityVerdict, ...]
 
     @property
@@ -196,8 +193,7 @@ def verify_transform_positive_type(
     return _grid_sweep(spectrum, table, tol)
 
 
-@dataclass(frozen=True)
-class QuadraticFormReport:
+class QuadraticFormReport(NamedTuple):
     value: complex
     scale: float
     nonnegative: bool
@@ -223,13 +219,12 @@ def _quadratic_forms(phi_values: np.ndarray, f_values: np.ndarray, table: Transf
     for one pair of (N,) vectors or row by row for two (K, N) stacks."""
     conv = _spectral_convolution(phi_values, f_values, table)[0]
     val = (1.0 - table.params.q) * np.sum(table.weights * conv * np.conj(f_values), axis=-1)
-    norm = _lp_norms(f_values, table.lattice, 2.0, table.params)
+    norm = _lp_norms(f_values, table.lattice, 2.0, table.weights)
     scale = np.maximum(1.0, norm ** 2 * np.abs(phi_values).max(axis=-1, initial=0.0))
     return val, scale
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     min_value: float
     sup_value: float
     nonnegative: bool
@@ -250,8 +245,7 @@ def _spectrum_extremes(values: np.ndarray, table: TransformTable):
     return ff.real.min(axis=-1), np.abs(ff).max(axis=-1)
 
 
-@dataclass(frozen=True)
-class SpectrumMassReport:
+class SpectrumMassReport(NamedTuple):
     absolute_mass: float
     signed_mass: complex
     target: complex
@@ -292,8 +286,7 @@ def _spectrum_masses(values: np.ndarray, targets, table: TransformTable):
     return absolute, signed, err / np.maximum(size, 1e-300)
 
 
-@dataclass(frozen=True)
-class WienerReport:
+class WienerReport(NamedTuple):
     l1_norm: float
     transform_l1_norm: float
     tails_decay: bool
@@ -302,11 +295,10 @@ class WienerReport:
 
 def wiener_membership(f: LatticeFunction, table: TransformTable) -> WienerReport:
     """Window diagnostics for membership in the q-Wiener algebra."""
-    params = table.params
-    n1 = lp_norm(f, 1.0, params)
     ff = fourier_transform(f, table)
-    n2 = lp_norm(ff, 1.0, params)
     w = table.weights
+    n1 = float(_lp_norms(f.values, table.lattice, 1.0, w))
+    n2 = float(_lp_norms(ff.values, table.lattice, 1.0, w))
 
     def tail_ok(vals: np.ndarray) -> bool:
         summands = np.abs(w * vals)
@@ -385,16 +377,18 @@ def measure_convolution(
     u that carry xi mass, as one matrix product.
     """
     _check_lattice(f, table)
-    total, scale = _measure_convolutions(xi, rho, f.values, table)
+    outer, shifted, inner = _measure_operands(xi, rho, f.values, table)
+    total = complex(outer @ shifted @ inner)
     if with_scale:
-        return complex(total), float(scale)
-    return complex(total)
+        return total, float(outer @ np.abs(shifted) @ inner)
+    return total
 
 
-def _measure_convolutions(xi: QMeasure, rho: QMeasure, values: np.ndarray, table: TransformTable):
-    """(double sum, all-absolute double sum) of :func:`measure_convolution`
-    for one (N,) vector f, or for each row of a (K, N) stack from one stack
-    of translations."""
+def _measure_operands(xi: QMeasure, rho: QMeasure, values: np.ndarray, table: TransformTable):
+    """(outer, shifted, inner) with the double sum of :func:`measure_convolution`
+    equal to outer @ shifted @ inner, for one (N,) vector f, or for each row
+    of a (K, N) stack from one stack of translations; each caller forms only
+    the sums it reads."""
     if xi.lattice != table.lattice or rho.lattice != table.lattice:
         raise LatticeMismatchError("measures must live on the table lattice")
     q = table.params.q
@@ -403,7 +397,7 @@ def _measure_convolutions(xi: QMeasure, rho: QMeasure, values: np.ndarray, table
     shifted = _all_translations(values, table.lattice.indices[support], table)
     outer = (1.0 - q) ** 2 * (w * rho.weights)
     inner = (w * xi.weights)[support]
-    return outer @ shifted @ inner, outer @ np.abs(shifted) @ inner
+    return outer, shifted, inner
 
 
 def measure_product_identity_error(
@@ -430,7 +424,8 @@ def measure_product_identity_error(
     idx = np.arange(lo, hi + 1)
     probes = idx[:: max(1, len(idx) // 12)]
     rows = table.rows(probes)
-    lhs = _measure_convolutions(xi, rho, rows, table)[0]
+    outer, shifted, inner = _measure_operands(xi, rho, rows, table)
+    lhs = outer @ shifted @ inner
     at = probes - lat.n_min
     rhs = f_xi.values[at] * f_rho.values[at]
     abs_rows = np.abs(rows)
@@ -454,8 +449,7 @@ def bochner_cutoff(phi: LatticeFunction, n: int) -> LatticeFunction:
     )
 
 
-@dataclass(frozen=True)
-class BochnerLevel:
+class BochnerLevel(NamedTuple):
     level: int
     psd_positive: bool
     min_eigenvalue: float
@@ -466,8 +460,7 @@ class BochnerLevel:
     transform_deviation: float  # sup interior |c F(xi_n) - phi_rescaled|
 
 
-@dataclass
-class BochnerReport:
+class BochnerReport(NamedTuple):
     cutoff_levels: List[int]
     levels: List[BochnerLevel]
     limit_measure: Optional[QMeasure]

@@ -341,21 +341,20 @@ def lp_norm(f: LatticeFunction, p: float, params: QParams) -> float:
     The measure weight x^{2v+1} merged with the Jackson weight x gives the
     q^{n(2v+2)} factor.
     """
-    return float(_lp_norms(f.values, f.lattice, p, params))
+    weights = f.lattice.q ** ((2.0 * params.v + 2.0) * f.lattice.indices.astype(float))
+    return float(_lp_norms(f.values, f.lattice, p, weights))
 
 
-def _lp_norms(values: np.ndarray, lattice: QLattice, p: float, params: QParams):
-    """:func:`lp_norm` of each row of a (K, N) stack, or of one (N,) vector."""
+def _lp_norms(values: np.ndarray, lattice: QLattice, p: float, weights: np.ndarray):
+    """:func:`lp_norm` of each row of a (K, N) stack, or of one (N,) vector,
+    from the window's weights q^{n(2v+2)}, which a TransformTable caches."""
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError(f"p must be a finite number at least 1, got {p}")
-    q = lattice.q
-    w = q ** ((2.0 * params.v + 2.0) * lattice.indices.astype(float))
-    total = (w * np.abs(values) ** p).sum(axis=-1)
-    return ((1.0 - q) * total) ** (1.0 / p)
+    total = (weights * np.abs(values) ** p).sum(axis=-1)
+    return ((1.0 - lattice.q) * total) ** (1.0 / p)
 
 
-@dataclass(frozen=True)
-class FunctionDiagnostics:
+class FunctionDiagnostics(NamedTuple):
     sup_norm: float
     edge_magnitudes: tuple  # |f| at the 5 largest lattice points (x -> infinity end)
     plausibly_vanishing_at_infinity: bool

@@ -182,8 +182,7 @@ def interior_slice(lattice: QLattice, fraction: float = 0.6) -> slice:
     return slice(margin, size - margin)
 
 
-@dataclass(frozen=True)
-class InversionReport:
+class InversionReport(NamedTuple):
     max_interior_error: float
     interior: slice
     edge_warning: bool
@@ -213,8 +212,7 @@ def _inversion_errors(values: np.ndarray, table: TransformTable):
     return err, _edge_warning(w * values) | _edge_warning(w * first)
 
 
-@dataclass(frozen=True)
-class PlancherelReport:
+class PlancherelReport(NamedTuple):
     input_norm: float
     output_norm: float
     error: float  # relative when the input norm is nonzero, else absolute
@@ -227,14 +225,13 @@ def verify_plancherel(f: LatticeFunction, table: TransformTable) -> PlancherelRe
 
 def _plancherel_errors(values: np.ndarray, table: TransformTable):
     """(||f||_2, ||F f||_2, error) of :func:`verify_plancherel` per row."""
-    n_in = _lp_norms(values, table.lattice, 2.0, table.params)
-    n_out = _lp_norms(_transform_rows(values, table), table.lattice, 2.0, table.params)
+    n_in = _lp_norms(values, table.lattice, 2.0, table.weights)
+    n_out = _lp_norms(_transform_rows(values, table), table.lattice, 2.0, table.weights)
     err = np.abs(n_out - n_in) / np.where(n_in == 0.0, 1.0, n_in)
     return n_in, n_out, err
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
+class OrthogonalityReport(NamedTuple):
     n: int
     m: int
     value: float
@@ -265,8 +262,7 @@ def _orthogonality_values(ns, ms, table: TransformTable):
     return values, targets
 
 
-@dataclass(frozen=True)
-class L1BoundReport:
+class L1BoundReport(NamedTuple):
     sup_transform: float
     bound: float
     holds: bool
@@ -283,4 +279,4 @@ def _l1_bounds(values: np.ndarray, table: TransformTable):
     """(sup |F f| with F f(0) included, B_qv ||f||_1) per row."""
     sup = np.abs(_transform_rows(values, table)).max(axis=-1)
     sup = np.maximum(sup, np.abs(_at_zero(table.weights * values, table)))
-    return sup, table.params.B_qv * _lp_norms(values, table.lattice, 1.0, table.params)
+    return sup, table.params.B_qv * _lp_norms(values, table.lattice, 1.0, table.weights)

@@ -8,8 +8,7 @@ reruns just that check.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,8 +60,7 @@ _SEED = 12345
 _THM2_EXPONENTS = ((4.0 / 3.0, 4.0 / 3.0), (1.2, 1.5), (1.01, 1.01))
 
 
-@dataclass(frozen=True)
-class VerificationEntry:
+class VerificationEntry(NamedTuple):
     statement_id: str
     status: str  # pass | fail | skip
     measured_error: float
@@ -72,8 +70,7 @@ class VerificationEntry:
     repro: Optional[str] = None
 
 
-@dataclass
-class VerificationSuiteResult:
+class VerificationSuiteResult(NamedTuple):
     q: float
     v: float
     n_min: int
