@@ -62,13 +62,18 @@ def all_translations(
 
 
 def _all_translations(
-    values: np.ndarray, exponents: Sequence[int], table: TransformTable
+    values: np.ndarray, exponents: Sequence[int], table: TransformTable, at=slice(None)
 ) -> np.ndarray:
     """:func:`all_translations` of the values of one f, an (N, X) matrix, or
     of a (K, N) stack of them, a (K, N, X) stack from one stacked product
-    whose slab k equals the matrix of row k alone bit for bit."""
+    whose slab k equals the matrix of row k alone bit for bit.
+
+    `at` picks the output rows y (window positions) the product forms: a
+    (Y, X) matrix or (K, Y, X) stack for an index array.  The default takes
+    every row through a view of the kernel matrix, so it changes no byte.
+    """
     ff = _transform_rows(values, table)
-    return table.kernel_matrix @ (ff[..., :, None] * table.rows(exponents).T)
+    return table.kernel_matrix[at] @ (ff[..., :, None] * table.rows(exponents).T)
 
 
 def translation_kernel(

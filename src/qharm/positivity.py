@@ -13,7 +13,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import LatticeMismatchError
-from .qlattice import LatticeFunction, QLattice, QParams, _lp_norms
+from .qlattice import LatticeFunction, QLattice, _lp_norms
 from .transform import (
     TransformTable,
     _check_lattice,
@@ -342,21 +342,15 @@ class QMeasure:
             raise ValueError("measure weights must be nonnegative")
         self.weights = w
 
-    def total_mass_v(self, params: QParams) -> float:
-        """int x^{2v+1} d_q xi(x) over the window."""
-        q = self.lattice.q
-        expo = (2.0 * params.v + 2.0) * self.lattice.indices.astype(float)
-        return float((1.0 - q) * np.sum(q ** expo * self.weights))
-
 
 def measure_fourier_transform(xi: QMeasure, table: TransformTable) -> LatticeFunction:
     """Transform of a measure: no c_qv prefactor, unlike the function transform."""
     if xi.lattice != table.lattice:
         raise LatticeMismatchError("measure must live on the table lattice")
     vals = table.kernel_matrix @ xi.weights / table.params.c_qv
-    return LatticeFunction(
-        table.lattice, vals, value_at_zero=xi.total_mass_v(table.params)
-    )
+    # the total mass int x^{2v+1} d_q xi(x), the j_v(0)=1 limit of the sum
+    mass = float((1.0 - table.params.q) * np.sum(table.weights * xi.weights))
+    return LatticeFunction(table.lattice, vals, value_at_zero=mass)
 
 
 def measure_convolution(
@@ -374,7 +368,8 @@ def measure_convolution(
     the all-absolute version of the double sum is returned alongside: it is
     the magnitude against which double-precision cancellation in the result
     must be judged.  The translations T_u f are computed only at the points
-    u that carry xi mass, as one matrix product.
+    u that carry xi mass and only on the rows t that carry rho mass, as one
+    matrix product; the terms left out are exactly zero.
     """
     _check_lattice(f, table)
     outer, shifted, inner = _measure_operands(xi, rho, f.values, table)
@@ -388,14 +383,20 @@ def _measure_operands(xi: QMeasure, rho: QMeasure, values: np.ndarray, table: Tr
     """(outer, shifted, inner) with the double sum of :func:`measure_convolution`
     equal to outer @ shifted @ inner, for one (N,) vector f, or for each row
     of a (K, N) stack from one stack of translations; each caller forms only
-    the sums it reads."""
+    the sums it reads.
+
+    Only the nonzero terms are formed: shifted[..., a, b] = T_u f(t) for u
+    the b-th point of xi's support and t the a-th point of rho's, and outer
+    and inner are the weights at those points.
+    """
     if xi.lattice != table.lattice or rho.lattice != table.lattice:
         raise LatticeMismatchError("measures must live on the table lattice")
     q = table.params.q
     w = table.weights
-    support = np.flatnonzero(xi.weights != 0.0)
-    shifted = _all_translations(values, table.lattice.indices[support], table)
-    outer = (1.0 - q) ** 2 * (w * rho.weights)
+    support = np.flatnonzero(xi.weights)
+    at = np.flatnonzero(rho.weights)
+    shifted = _all_translations(values, table.lattice.indices[support], table, at)
+    outer = ((1.0 - q) ** 2 * (w * rho.weights))[at]
     inner = (w * xi.weights)[support]
     return outer, shifted, inner
 
@@ -410,7 +411,9 @@ def measure_product_identity_error(
     T_u j_v(x .)(t) = j_v(xu) j_v(xt), which makes the identity sharp.  The
     deviation at each probe point is scaled by the all-positive version of
     the product (weights and kernel in absolute value), the precision
-    actually attainable for these heavily v-weighted sums.
+    actually attainable for these heavily v-weighted sums.  The double sum
+    runs over the supports of xi and rho only: every term it leaves out has
+    a zero weight.
     """
     lat = table.lattice
     q = table.params.q

@@ -110,13 +110,16 @@ def _transform_rows(values: np.ndarray, table: TransformTable) -> np.ndarray:
     return (table.kernel_matrix @ values.T).T
 
 
-def _hankel_form(table: TransformTable, s: np.ndarray, exponents) -> np.ndarray:
-    """H[..., i, j] = sum_k rows[i, k] s[..., k] rows[j, k] for the Hankel
-    rows of `exponents`: a (..., N) stack of s gives the (..., P, P) stack
-    from one stacked product, which runs one matrix product per slab, so
-    each slab equals the form of its s alone bit for bit."""
+def _hankel_form(table: TransformTable, s: np.ndarray, exponents, others=None) -> np.ndarray:
+    """H[..., i, j] = sum_k rows[i, k] s[..., k] cols[j, k] for the Hankel
+    rows of `exponents` and the columns of `others` (the same rows when
+    None, the symmetric (P, P) form; else the (P, Q) block of it on the two
+    sets): a (..., N) stack of s gives the (..., P, Q) stack from one
+    stacked product, which runs one matrix product per slab, so each slab
+    equals the form of its s alone bit for bit."""
     rows = table.rows(exponents)
-    return (rows * s[..., None, :]) @ rows.T
+    cols = rows if others is None else table.rows(others)
+    return (rows * s[..., None, :]) @ cols.T
 
 
 def _at_zero(weighted: np.ndarray, table: TransformTable) -> np.ndarray:
