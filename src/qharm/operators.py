@@ -128,18 +128,31 @@ def convolution(
     f.same_window(g)
     if f.lattice != table.lattice:
         raise LatticeMismatchError("operands must live on the table lattice")
-    params = table.params
     if route == "spectral":
         out, at_zero = _spectral_convolution(f.values, g.values, table)
         return LatticeFunction(table.lattice, out, value_at_zero=at_zero)
     if route == "direct":
         lat = table.lattice
-        shifted = _all_translations(f.values, lat.indices, table)
-        out = params.c_qv * (1.0 - params.q) * ((table.weights * g.values) @ shifted)
+        out = _direct_convolution(f.values, g.values, lat.indices, table)
         if f.is_real and g.is_real:
             out = out.real
         return LatticeFunction(lat, out)
     raise ValueError(f"unknown route {route!r}")
+
+
+def _direct_convolution(
+    f_values: np.ndarray,
+    g_values: np.ndarray,
+    exponents,
+    table: TransformTable,
+    at=slice(None),
+) -> np.ndarray:
+    """The direct route of :func:`convolution` at the points x = q^{exponents},
+    summed over the window rows y in `at`: every row by default, or only the
+    rows where g is nonzero, which leaves out only zero terms."""
+    params = table.params
+    shifted = _all_translations(f_values, exponents, table, at)
+    return params.c_qv * (1.0 - params.q) * ((table.weights * g_values)[at] @ shifted)
 
 
 def _spectral_convolution(f_values: np.ndarray, g_values: np.ndarray, table: TransformTable):

@@ -29,6 +29,7 @@ from .transform import (
 from .bessel import bessel_bound_envelope
 from .operators import (
     _all_translations,
+    _direct_convolution,
     _gauss_limit_integrals,
     _spectral_convolution,
     _young_report,
@@ -86,18 +87,13 @@ def _psd_defect(verdicts) -> float:
     return max([0.0] + [-v.min_eigenvalue / v.scale for v in verdicts])
 
 
-# The reference routes of Prop4 and Prop5 sum only their nonzero terms: the
-# draws are compactly supported, and a term whose input factor is exactly
-# zero adds nothing.  Every other term is kept, and no product is
-# reassociated.
-
-
 def _prop4_kernel_route(draws: np.ndarray, xs, table: TransformTable) -> np.ndarray:
     """(X, K, N) stack of int f_k(z) D_v(x, y, z) z^{2v+1} d_qz, the kernel
     route of :func:`operators.translation_via_kernel`, for each row f_k of
     `draws` at each x of `xs`, summed over the z where some draw is nonzero:
     one (X, Z, N) Hankel form for the D_v rows of those z (D_v is symmetric
-    in y and z)."""
+    in y and z).  Only zero terms are left out; every other term is kept
+    and no product is reassociated."""
     params = table.params
     indices = table.lattice.indices
     zs = np.flatnonzero(np.any(draws != 0, axis=0))
@@ -105,19 +101,6 @@ def _prop4_kernel_route(draws: np.ndarray, xs, table: TransformTable) -> np.ndar
     core *= params.c_qv ** 2 * (1.0 - params.q)
     weighted = table.weights * draws * (1.0 - params.q)
     return weighted[:, zs] @ core
-
-
-def _prop5_direct_route(
-    f: np.ndarray, g: np.ndarray, exponents, table: TransformTable
-) -> np.ndarray:
-    """The direct double sum c int T_x f(y) g(y) y^{2v+1} d_qy of
-    :func:`operators.convolution` at the points x = q^{exponents}, summed
-    over the y where g is nonzero: the translations are formed on those
-    rows only."""
-    params = table.params
-    ys = np.flatnonzero(g)
-    shifted = _all_translations(f, exponents, table, ys)
-    return params.c_qv * (1.0 - params.q) * ((table.weights * g)[ys] @ shifted)
 
 
 CheckFn = Callable[[TransformTable], Tuple[float, str]]
@@ -193,9 +176,10 @@ def _registry() -> List[Tuple[str, float, CheckFn]]:
         sl = interior_slice(lat)
         worst = 0.0
         # the direct double sum, one pair at a time, translates f to the
-        # interior points only, on the rows where g is nonzero
+        # interior points only, on the rows where g is nonzero: the other
+        # terms are zero
         for f, g, spec in zip(fs, gs, spectral):
-            direct = _prop5_direct_route(f, g, lat.indices[sl], table)
+            direct = _direct_convolution(f, g, lat.indices[sl], table, np.flatnonzero(g))
             scale = max(float(np.abs(spec).max()), 1e-300)
             worst = max(worst, float(np.abs(spec[sl] - direct).max()) / scale)
         return worst, "spectral vs direct convolution, 5 pairs, interior"
