@@ -257,7 +257,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CSVFormatError as exc:
         sys.stderr.write(f"{args.command}: CSV parse error: {exc}\n")
         return 2
-    except (FileNotFoundError, QHarmError, ValueError) as exc:
+    except (FileNotFoundError, IndexError, QHarmError, ValueError) as exc:
         sys.stderr.write(f"{args.command}: {exc}\n")
         return 2
 

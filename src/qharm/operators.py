@@ -11,7 +11,6 @@ from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import LatticeMismatchError
 from .qlattice import (
     LatticeFunction,
     QLattice,
@@ -57,7 +56,7 @@ def all_translations(
     once in the ascending lattice order of the dense product, so results are
     deterministic.
     """
-    _check_lattice(f, table)
+    _check_lattice(table, f)
     return _all_translations(f.values, exponents, table)
 
 
@@ -125,9 +124,7 @@ def convolution(
     sum c int T_x f(y) g(y) y^{2v+1} d_qy, with the translations of every
     output point computed as one matrix product.
     """
-    f.same_window(g)
-    if f.lattice != table.lattice:
-        raise LatticeMismatchError("operands must live on the table lattice")
+    _check_lattice(table, f, g)
     if route == "spectral":
         out, at_zero = _spectral_convolution(f.values, g.values, table)
         return LatticeFunction(table.lattice, out, value_at_zero=at_zero)

@@ -12,7 +12,6 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import LatticeMismatchError
 from .qlattice import LatticeFunction, QLattice, _lp_norms
 from .transform import (
     TransformTable,
@@ -68,15 +67,14 @@ def _spectral_gram(
     """The Gram matrix as a Hankel form in the spectrum F phi.
 
     A stack of spectra (..., N) gives the stack of Gram matrices (..., P, P).
-    An empty or repeated point list is refused with ValueError.
+    An empty or repeated point list is refused with ValueError, a point
+    outside the window with IndexError from :meth:`TransformTable.rows`.
     """
     pts = list(point_exponents)
     if not pts:
         raise ValueError("gram grid needs at least one point")
     if len(set(pts)) != len(pts):
         raise ValueError("gram points must be distinct")
-    for n in pts:
-        table.lattice.index_of(n)  # bounds check
     params = table.params
     scale = params.c_qv * (1.0 - params.q) * table.weights
     entries = _hankel_form(table, scale * spectrum, pts)
@@ -206,8 +204,7 @@ def verify_quadratic_form_positivity(
     tol: float = DEFAULT_PSD_TOL,
 ) -> QuadraticFormReport:
     """<phi * f, f> in the x^{2v+1}-weighted inner product."""
-    phi.same_window(f)
-    _check_lattice(phi, table)
+    _check_lattice(table, phi, f)
     val, scale = _quadratic_forms(phi.values, f.values, table)
     val, scale = complex(val), float(scale)
     ok = val.real >= -tol * scale and abs(val.imag) <= max(tol * scale, 1e-9 * scale)
@@ -234,7 +231,7 @@ def verify_nonneg_spectrum(
     phi: LatticeFunction, table: TransformTable, tol: float = DEFAULT_PSD_TOL
 ) -> SpectrumReport:
     """Min of F phi over the window against -tol * sup |F phi|."""
-    _check_lattice(phi, table)
+    _check_lattice(table, phi)
     mn, sup = (float(x) for x in _spectrum_extremes(phi.values, table))
     return SpectrumReport(min_value=mn, sup_value=sup, nonnegative=bool(mn >= -tol * max(sup, 1e-300)))
 
@@ -262,7 +259,7 @@ def verify_l1_spectrum_mass(
     """
     if phi.value_at_zero is None:
         raise ValueError("phi must carry value_at_zero")
-    _check_lattice(phi, table)
+    _check_lattice(table, phi)
     target = complex(phi.value_at_zero)
     absolute, signed, err = _spectrum_masses(phi.values, target, table)
     return SpectrumMassReport(
@@ -345,8 +342,7 @@ class QMeasure:
 
 def measure_fourier_transform(xi: QMeasure, table: TransformTable) -> LatticeFunction:
     """Transform of a measure: no c_qv prefactor, unlike the function transform."""
-    if xi.lattice != table.lattice:
-        raise LatticeMismatchError("measure must live on the table lattice")
+    _check_lattice(table, xi)
     vals = table.kernel_matrix @ xi.weights / table.params.c_qv
     # the total mass int x^{2v+1} d_q xi(x), the j_v(0)=1 limit of the sum
     mass = float((1.0 - table.params.q) * np.sum(table.weights * xi.weights))
@@ -371,7 +367,7 @@ def measure_convolution(
     u that carry xi mass and only on the rows t that carry rho mass, as one
     matrix product; the terms left out are exactly zero.
     """
-    _check_lattice(f, table)
+    _check_lattice(table, xi, rho, f)
     outer, shifted, inner = _measure_operands(xi, rho, f.values, table)
     total = complex(outer @ shifted @ inner)
     if with_scale:
@@ -387,10 +383,8 @@ def _measure_operands(xi: QMeasure, rho: QMeasure, values: np.ndarray, table: Tr
 
     Only the nonzero terms are formed: shifted[..., a, b] = T_u f(t) for u
     the b-th point of xi's support and t the a-th point of rho's, and outer
-    and inner are the weights at those points.
+    and inner are the weights at those points.  The callers check the windows.
     """
-    if xi.lattice != table.lattice or rho.lattice != table.lattice:
-        raise LatticeMismatchError("measures must live on the table lattice")
     q = table.params.q
     w = table.weights
     support = np.flatnonzero(xi.weights)

@@ -352,34 +352,3 @@ def _lp_norms(values: np.ndarray, lattice: QLattice, p: float, weights: np.ndarr
         raise ValueError(f"p must be a finite number at least 1, got {p}")
     total = (weights * np.abs(values) ** p).sum(axis=-1)
     return ((1.0 - lattice.q) * total) ** (1.0 / p)
-
-
-class FunctionDiagnostics(NamedTuple):
-    sup_norm: float
-    edge_magnitudes: tuple  # |f| at the 5 largest lattice points (x -> infinity end)
-    plausibly_vanishing_at_infinity: bool
-    bounded_below_tol: bool
-
-
-def vanishing_and_bounded_diagnostics(f: LatticeFunction) -> FunctionDiagnostics:
-    """Window heuristics for membership in the vanishing/bounded classes.
-
-    x -> infinity corresponds to the n_min end of the window.  The vanishing
-    flag requires the last five magnitudes toward that end to be monotone
-    decreasing (outward) and below 1e-8.
-    """
-    mags = np.abs(f.values)
-    sup = float(mags.max()) if mags.size else 0.0
-    k = min(5, mags.size)
-    edge = mags[:k]  # ordered from the outermost (largest x) point inward
-    vanish = bool(
-        k > 0
-        and np.all(edge < 1e-8)
-        and np.all(np.diff(edge) >= 0.0)  # grows moving inward = decays outward
-    )
-    return FunctionDiagnostics(
-        sup_norm=sup,
-        edge_magnitudes=tuple(float(m) for m in edge),
-        plausibly_vanishing_at_infinity=vanish,
-        bounded_below_tol=bool(np.isfinite(sup)),
-    )

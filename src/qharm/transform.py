@@ -42,12 +42,12 @@ class TransformTable:
         exps = np.asarray(exponents)
         if exps.size and exps.dtype.kind not in "iu":
             raise TypeError(f"row exponents must be integers, got {exps.dtype}")
-        offsets = exps.astype(int) - self.lattice.n_min
-        if offsets.size and (offsets.min() < 0 or offsets.max() >= self.lattice.size):
-            raise IndexError(
-                f"row exponent outside the window [{self.lattice.n_min}, {self.lattice.n_max}]"
-            )
-        return self.bessel_values[offsets[:, None] + np.arange(self.lattice.size)]
+        lat = self.lattice
+        offsets = exps.astype(int) - lat.n_min
+        if offsets.size and (offsets.min() < 0 or offsets.max() >= lat.size):
+            first = exps[(offsets < 0) | (offsets >= lat.size)][0]
+            raise IndexError(f"row exponent {first} outside the window [{lat.n_min}, {lat.n_max}]")
+        return self.bessel_values[offsets[:, None] + np.arange(lat.size)]
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -94,9 +94,11 @@ class TransformResult(NamedTuple):
     edge_warning: bool
 
 
-def _check_lattice(f: LatticeFunction, table: TransformTable) -> None:
-    if f.lattice != table.lattice:
-        raise LatticeMismatchError("function lattice does not match table lattice")
+def _check_lattice(table: TransformTable, *operands) -> None:
+    """Refuse any operand, a function or a measure, off the table's window."""
+    for x in operands:
+        if x.lattice != table.lattice:
+            raise LatticeMismatchError(f"operand on {x.lattice}, table on {table.lattice}")
 
 
 # The private helpers below take a stack of functions as a (K, N) array, one
@@ -143,7 +145,7 @@ def fourier_transform_detail(
     summand magnitude at either window end exceeds DEFAULT_TRUNC_TOL (the
     window then visibly truncates the infinite Jackson sum).
     """
-    _check_lattice(f, table)
+    _check_lattice(table, f)
     weighted = table.weights * f.values
     out = LatticeFunction(
         table.lattice, _transform_rows(f.values, table), _at_zero(weighted, table)
@@ -193,7 +195,7 @@ class InversionReport(NamedTuple):
 
 def verify_inversion(f: LatticeFunction, table: TransformTable) -> InversionReport:
     """Max deviation of F(F f) from f on the interior sub-window."""
-    _check_lattice(f, table)
+    _check_lattice(table, f)
     err, edge = _inversion_errors(f.values, table)
     return InversionReport(
         max_interior_error=float(err),
@@ -222,7 +224,7 @@ class PlancherelReport(NamedTuple):
 
 
 def verify_plancherel(f: LatticeFunction, table: TransformTable) -> PlancherelReport:
-    _check_lattice(f, table)
+    _check_lattice(table, f)
     return PlancherelReport(*(float(x) for x in _plancherel_errors(f.values, table)))
 
 
@@ -252,10 +254,8 @@ def verify_orthogonality(n: int, m: int, table: TransformTable) -> Orthogonality
 def _orthogonality_values(ns, ms, table: TransformTable):
     """(values, targets) of :func:`verify_orthogonality` for every pair
     (ns[i], ms[j]): the window sums of the weighted row products, each
-    summed along its own row, and the diagonal norms."""
-    lat = table.lattice
-    if any(not lat.n_min <= n <= lat.n_max for n in (*ns, *ms)):
-        raise ValueError("n or m pushes the kernel outside the tabulated range")
+    summed along its own row, and the diagonal norms.  An exponent outside
+    the window raises IndexError from :meth:`TransformTable.rows`."""
     params = table.params
     q = params.q
     integrand = (table.weights * table.rows(ns))[:, None, :] * table.rows(ms)[None, :, :]
@@ -273,7 +273,7 @@ class L1BoundReport(NamedTuple):
 
 def verify_l1_bound(f: LatticeFunction, table: TransformTable) -> L1BoundReport:
     """sup |F f| against B_qv ||f||_1 on the window."""
-    _check_lattice(f, table)
+    _check_lattice(table, f)
     sup, bound = (float(x) for x in _l1_bounds(f.values, table))
     return L1BoundReport(sup, bound, sup <= bound * (1.0 + BOUND_SLACK) + 1e-300)
 

@@ -299,6 +299,14 @@ class TestCLIJudgements:
         assert captured.out == ""
         assert "at least one point" in captured.err
 
+    @pytest.mark.parametrize("points", ["999", "0,1,999"])
+    def test_positivity_out_of_window_points_refused(self, phi_csv, capsys, points):
+        # the window of phi.csv is [-20, 60]: one stderr line names 999
+        assert main(["positivity", phi_csv, f"--points={points}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "positivity: row exponent 999 outside the window [-20, 60]\n"
+
     def test_bochner_requires_origin_row(self, compact_csv, capsys):
         path, _ = compact_csv  # written without origin row
         assert main(["bochner", path]) == 2

@@ -10,6 +10,7 @@ from qharm import (
     QParams,
     bochner_cutoff,
     bochner_reconstruct,
+    convolution,
     fourier_transform,
     gram_matrix,
     is_q_positive_type,
@@ -31,6 +32,7 @@ from qharm.positivity import (
     BochnerReport,
     default_point_exponents,
 )
+from qharm.errors import LatticeMismatchError
 from qharm.transform import interior_slice
 from conftest import get_table
 from qharm.testfunctions import (
@@ -199,6 +201,55 @@ class TestMeasures:
         probe = LatticeFunction(table05.lattice, table05.rows([2])[0])
         val, scale = measure_convolution(xi, rho, probe, table05, with_scale=True)
         assert scale >= abs(val) * (1.0 - 1e-12)
+
+
+# each call with its operands; the test moves the named ones to another window
+_WINDOW_CALLS = {
+    "measure_fourier_transform": lambda t, xi, rho, f, g: measure_fourier_transform(xi, t),
+    "measure_convolution": lambda t, xi, rho, f, g: measure_convolution(xi, rho, f, t),
+    "measure_product_identity_error": lambda t, xi, rho, f, g: measure_product_identity_error(
+        xi, rho, t
+    ),
+    "convolution": lambda t, xi, rho, f, g: convolution(f, g, t),
+    "verify_quadratic_form_positivity": lambda t, xi, rho, f, g: verify_quadratic_form_positivity(
+        f, g, t
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "call, moved",
+    [
+        ("measure_fourier_transform", "xi"),
+        ("measure_convolution", "xi"),
+        ("measure_convolution", "rho"),
+        ("measure_convolution", "f"),
+        ("measure_product_identity_error", "xi"),
+        ("measure_product_identity_error", "rho"),
+        ("convolution", "f"),
+        ("convolution", "g"),
+        ("convolution", "f g"),
+        ("verify_quadratic_form_positivity", "f"),
+        ("verify_quadratic_form_positivity", "g"),
+    ],
+)
+def test_operand_off_the_table_window_refused(table05, rng, call, moved):
+    lat = table05.lattice
+    xi, rho = (random_measure_weights(lat, rng) for _ in range(2))
+    f, g = (random_compact(lat, rng).values for _ in range(2))
+
+    def operands(window):
+        return {
+            "xi": QMeasure(window, xi),
+            "rho": QMeasure(window, rho),
+            "f": LatticeFunction(window, f),
+            "g": LatticeFunction(window, g),
+        }
+
+    on, off = operands(lat), operands(QLattice(lat.q, lat.n_min + 1, lat.n_max + 1))
+    ops = {name: (off if name in moved.split() else on)[name] for name in on}
+    with pytest.raises(LatticeMismatchError):
+        _WINDOW_CALLS[call](table05, **ops)
 
 
 class TestBochner:

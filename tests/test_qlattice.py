@@ -24,7 +24,6 @@ from qharm.errors import LatticeMismatchError
 from qharm.qlattice import (
     _lattice_q_gaussian,
     jackson_integral_detail,
-    vanishing_and_bounded_diagnostics,
 )
 from qharm.testfunctions import gaussian_density
 
@@ -344,18 +343,3 @@ class TestJacksonIntegral:
         for c in (3.0, 0.1):
             with pytest.raises(ValueError):
                 lp_norm(LatticeFunction(lat, np.full(lat.size, c)), p, params)
-
-
-class TestDiagnostics:
-    def test_vanishing_detected(self):
-        lat = QLattice(0.5, -10, 10)
-        f = LatticeFunction.from_callable(lat, lambda x: math.exp(-x))
-        diag = vanishing_and_bounded_diagnostics(f)
-        assert diag.plausibly_vanishing_at_infinity
-        assert diag.bounded_below_tol
-
-    def test_constant_not_vanishing(self):
-        lat = QLattice(0.5, -10, 10)
-        f = LatticeFunction(lat, np.ones(lat.size))
-        diag = vanishing_and_bounded_diagnostics(f)
-        assert not diag.plausibly_vanishing_at_infinity

@@ -49,8 +49,10 @@ class TestTableConstruction:
 
     @pytest.mark.parametrize("n", [-120, -21, 61, 200])  # the window is [-20, 60]
     def test_rows_refuse_out_of_window(self, table05, n):
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match=rf"^row exponent {n} outside the window \[-20, 60\]$"):
             table05.rows([0, n])
+        with pytest.raises(IndexError, match=rf"^row exponent {n} "):  # the first one is named
+            table05.rows([0, n, 999])
 
     def test_rows_refuse_fractional_exponents(self, table05):
         with pytest.raises(TypeError):
@@ -117,7 +119,7 @@ class TestIdentities:
         assert rep.error < 1e-8
 
     def test_out_of_range_orthogonality_rejected(self, table05):
-        with pytest.raises(ValueError):
+        with pytest.raises(IndexError, match="row exponent 100 "):
             verify_orthogonality(100, 0, table05)
 
     def test_inversion_on_clean_draw(self, regime_table, rng):
