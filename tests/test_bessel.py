@@ -40,6 +40,27 @@ MILLER_GRID = (
 )
 MILLER_SHA256 = "314f731877485b039b8a4079831663ca958c9906d969af501b4f08c5aa4ad1e0"
 
+# sha256 over lattice_jv_table(QParams(q, v), m_lo, m_hi) on each (q, v,
+# window) grid, for the three parts of the table that the pins above leave
+# out: "upward", v < 0 tables past m_two + 2, whose head runs the recurrence
+# upward to m_two + 2 and whose tail is the closed form; "short", tables with
+# 0 <= m_hi < m_two + 2, whose head stops at the table top; "deep", windows
+# whose Miller chain is rescaled inside the entries it returns
+PART_GRIDS = {
+    "upward": ((0.3, 0.6, 0.9, 0.95), (-0.9, -0.5, -0.1), ((0, 400), (-10, 400), (-40, 420))),
+    "short": (
+        (0.5, 0.7, 0.9, 0.97),
+        (-0.5, 0.0, 1.5),
+        ((0, 0), (-3, 1), (-12, 3), (0, 10), (-20, 12)),
+    ),
+    "deep": ((0.7, 0.9, 0.95, 0.99), (-0.5, 0.0, 1.5), ((-300, -1), (-600, 5), (-900, 40))),
+}
+PART_SHA256 = {
+    "upward": "411b072c57adc0d4ced8609ff26677882494be9b0292a19f494c495694c4a9dc",
+    "short": "3fc770a495a71751bee43a000f783a5b54398e4c3363a8df74e8d49b01578bfd",
+    "deep": "372512d4cb99d7547a70c5a2b87889d06f84287e8b726e3b510efc3fa10d4564",
+}
+
 # mpmath values of j_v(q^m, q^2), precision sized to each sum's cancellation
 # (scripts/kernel_pins.py)
 KERNEL_PINS = json.loads((Path(__file__).parent / "data" / "kernel_pins.json").read_text())
@@ -241,6 +262,13 @@ class TestSeriesArrayPath:
             except (OverflowError, ZeroDivisionError) as exc:
                 digest.update(type(exc).__name__.encode())
         assert digest.hexdigest() == MILLER_SHA256
+
+    @pytest.mark.parametrize("part", list(PART_GRIDS))
+    def test_table_part_bytes_pinned(self, part):
+        digest = hashlib.sha256()
+        for q, v, (m_lo, m_hi) in itertools.product(*PART_GRIDS[part]):
+            digest.update(lattice_jv_table(QParams(q, v), m_lo, m_hi).tobytes())
+        assert digest.hexdigest() == PART_SHA256[part]
 
     def test_short_downward_run_matches_pins_at_q_095(self):
         # the downward run starts just above m_two (about 225 here), not at
