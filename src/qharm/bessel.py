@@ -36,7 +36,9 @@ from .qlattice import QParams, _jv_series, hahn_exton_jv_detail
 # decays superexponentially with this margin
 _SEED_MARGIN = 16
 
-_MIN_EXP = -1020  # below this base-2 scale a double underflows anyway
+# a Miller value below 2^-1021 (a base-2 exponent below -1020) is flushed to
+# zero: a double underflows there anyway
+_FLUSH = math.ldexp(1.0, -1021)
 
 # relative error a series value may carry when no lattice fallback applies;
 # the oracle pins hold cancelling arguments to the same tolerance
@@ -46,17 +48,18 @@ _MAX_SERIES_LOSS = 1e-9
 def lattice_jv_table(params: QParams, m_lo: int, m_hi: int) -> np.ndarray:
     """j_v(q^m, q^2) for m in [m_lo, m_hi], index offset by m_lo.
 
-    m_two is the first m >= 3 where the series' n = 2 term drops below 2^-55.
-    Above m_two + 2 the entries are the two-term series 1 - q^{2m+2} / d1,
-    in one array expression; from 0 to m_two + 2 they come from the
-    recurrence on series seeds at m_two + 1 and m_two + 2 (v >= 0), and for
-    m < 0 from the scaled Miller recurrence.
+    The table has three parts.  m_two is the first m >= 3 where the series'
+    n = 2 term drops below 2^-55.  Above m_two + 2 the entries are the
+    two-term series 1 - q^{2m+2} / d1, the closed-form tail, in one array
+    expression.  From 0 to m_two + 2, or to the table top if that is lower,
+    they are the recurrence head of :func:`_recurrence_head`, which `params`
+    keeps, so a second table from the same params skips its seeds and runs.
+    For m < 0 they come from the scaled Miller chain of :func:`_miller_values`.
     """
     if m_lo > m_hi:
         raise ValueError("empty exponent range")
     q, v = params.q, params.v
     q2 = q * q
-    p2v = q ** (2.0 * v)
     # the series' n = 1 term is q^{2m+2} / d1, its n = 2 term q^{4m+6} / (d1 d2)
     d1 = (1.0 - q2) * (1.0 - q ** (2.0 * v + 2.0))
     d2 = (1.0 - q2 * q2) * (1.0 - q ** (2.0 * v + 4.0))
@@ -74,16 +77,7 @@ def lattice_jv_table(params: QParams, m_lo: int, m_hi: int) -> np.ndarray:
     # starts moves only its roundoff
     seed = m_safe if v < 0.0 else max(m_safe, min(top, m_two + 1))
     last = max(seed + 1, min(top, m_two + 2))
-    pos = [0.0] * (last + 1)  # j at m = 0, 1, ..., last; the closed form above
-    for m in (seed, seed + 1):
-        pos[m] = _jv_series(q ** m, q2, v, params.jv_denom_floor).value
-    # downward the solution near 1 dominates the one like q^{-2vm} for v >= 0;
-    # for v < 0 the latter grows by at most q^{-2|v| seed} on the way down
-    for m in range(seed - 1, -1, -1):
-        pos[m] = (1.0 + p2v - q ** (2 * m + 2)) * pos[m + 1] - p2v * pos[m + 2]
-    # upward (v < 0 only) the solution near 1 dominates
-    for m in range(seed, last - 1):
-        pos[m + 2] = ((1.0 + p2v - q ** (2 * m + 2)) * pos[m + 1] - pos[m]) / p2v
+    pos = _recurrence_head(params, seed, last)
     out = np.empty(m_hi - m_lo + 1, dtype=float)
     if m_hi >= 0:
         lo = max(m_lo, 0)
@@ -93,44 +87,99 @@ def lattice_jv_table(params: QParams, m_lo: int, m_hi: int) -> np.ndarray:
         if m_hi > last:
             tail = np.arange(max(lo, last + 1), m_hi + 1)
             out[tail[0] - m_lo :] = 1.0 - q ** (2.0 * tail + 2.0) / d1
-
     if m_lo < 0:
-        start = m_lo - _SEED_MARGIN
-        # each upward chain step above m = 0 grows the unwanted solution by
-        # q^{-2v} (v > 0), and a value near a zero of j carries a large
-        # relative error: normalize where the two weigh least
-        weight = [abs(pos[m]) * q ** (2.0 * max(v, 0.0) * m) for m in range(4)]
-        m_ref = weight.index(max(weight))
-        # one step multiplies |j| by at most (2 + p2v) / p2v + q^{2m+2} / p2v,
-        # largest at m = start; below 2^(1020 - g) the next step stays finite
-        lg = math.log2(q)
-        g = max((2 * start + 2 - 2.0 * v) * lg, math.log2((2.0 + p2v) / p2v)) + 2.0
-        limit = math.ldexp(1.0, 1020 - math.ceil(g))
-        one_p, inv = 1.0 + p2v, 1.0 / p2v
-        # j at exponent start + i is chain[i] * 2**shift[i] (up to one global
-        # scale), shift[i] being the sum of the rescales made before entry i
-        chain, shift = [0.0, 1.0], [0, 0]
-        x0, x1, s = 0.0, 1.0, 0
-        for m in range(start, m_ref - 1):
-            x0, x1 = x1, (x1 * (one_p - q ** (2 * m + 2)) - x0) * inv
-            chain.append(x1)
-            shift.append(s)
-            if not -limit <= x1 <= limit:
-                x1, e = math.frexp(x1)
-                x0 = math.ldexp(x0, -e)
-                s += e
-        ref = m_ref - start
-        mant_ref, e_ref = math.frexp(chain[ref])
-        if mant_ref == 0.0:
-            raise ZeroDivisionError("Miller chain lost the reference value")
-        kept = slice(m_lo - start, min(0, m_hi + 1) - start)
-        mant, expo = np.frexp(chain[kept])
-        mt, e = np.frexp(mant * (pos[m_ref] / mant_ref))
-        e += expo + np.array(shift[kept]) - (shift[ref] + e_ref)
-        mt[e < _MIN_EXP] = 0.0
-        if np.any(mt[e > 1024]):
-            raise OverflowError("scaled chain value exceeds double range")
-        out[: kept.stop - kept.start] = np.ldexp(mt, e)
+        stop = min(0, m_hi + 1)
+        out[: stop - m_lo] = _miller_values(params, pos, m_lo, stop)
+    return out
+
+
+def _recurrence_head(params: QParams, seed: int, last: int) -> list:
+    """j at m = 0, 1, ..., last from the series at m = seed and seed + 1: the
+    recurrence run downward to m = 0 and, for v < 0, upward to `last`.
+
+    The head is kept on `params` under (seed, last), and its readers must
+    not change it.  There are at most m_two + 2 keys with seed >= m_safe,
+    and for v >= 0 every table reaching m_two + 2 has the same one.
+    """
+    heads = params._jv_heads
+    pos = heads.get((seed, last))
+    if pos is not None:
+        return pos
+    q, v = params.q, params.v
+    p2v = q ** (2.0 * v)
+    one_p = 1.0 + p2v
+    j_seed = _jv_series(q ** seed, q * q, v, params.jv_denom_floor).value
+    j_next = _jv_series(q ** (seed + 1), q * q, v, params.jv_denom_floor).value
+    # k = 2m + 2 is the exponent of the recurrence coefficient at m.
+    # Downward the solution near 1 dominates the one like q^{-2vm} for v >= 0;
+    # for v < 0 the latter grows by at most q^{-2|v| seed} on the way down
+    down, j1, j2 = [], j_seed, j_next
+    for k in range(2 * seed, 0, -2):
+        j1, j2 = (one_p - q ** k) * j1 - p2v * j2, j1
+        down.append(j1)
+    # upward (v < 0 only) the solution near 1 dominates
+    up, j0, j1 = [], j_seed, j_next
+    for k in range(2 * seed + 2, 2 * last, 2):
+        j0, j1 = j1, ((one_p - q ** k) * j1 - j0) / p2v
+        up.append(j1)
+    pos = down[::-1] + [j_seed, j_next] + up
+    heads[seed, last] = pos
+    return pos
+
+
+def _miller_values(params: QParams, pos: list, m_lo: int, stop: int) -> np.ndarray:
+    """j at m = m_lo, ..., stop - 1 (stop <= 0) by the scaled Miller chain,
+    normalized against the recurrence head `pos` at one m in 0..3.
+
+    The chain starts _SEED_MARGIN steps below m_lo and carries plain floats
+    at one power-of-two scale, rescaled exactly when they near the top of
+    the double range.  A value below 2^-1021 is flushed to zero; one past
+    the double range raises OverflowError.
+    """
+    q, v = params.q, params.v
+    p2v = q ** (2.0 * v)
+    start = m_lo - _SEED_MARGIN
+    # each upward chain step above m = 0 grows the unwanted solution by
+    # q^{-2v} (v > 0), and a value near a zero of j carries a large
+    # relative error: normalize where the two weigh least
+    weight = [abs(pos[m]) * q ** (2.0 * max(v, 0.0) * m) for m in range(4)]
+    m_ref = weight.index(max(weight))
+    # one step multiplies |j| by at most (2 + p2v) / p2v + q^{2m+2} / p2v,
+    # largest at m = start; below 2^(1020 - g) the next step stays finite
+    lg = math.log2(q)
+    g = max((2 * start + 2 - 2.0 * v) * lg, math.log2((2.0 + p2v) / p2v)) + 2.0
+    limit = math.ldexp(1.0, 1020 - math.ceil(g))
+    one_p, inv = 1.0 + p2v, 1.0 / p2v
+    # j at exponent start + i is chain[i] * 2**shift[i] (up to one global
+    # scale), shift[i] being the sum of the rescales made before entry i;
+    # a rescale by 2**-e recorded as (i, e) applies from chain index i on
+    chain, rescales = [0.0, 1.0], []
+    append = chain.append
+    x0, x1, low = 0.0, 1.0, -limit
+    for k in range(2 * start + 2, 2 * m_ref, 2):  # k = 2m + 2
+        x0, x1 = x1, (x1 * (one_p - q ** k) - x0) * inv
+        append(x1)
+        if not low <= x1 <= limit:
+            x1, e = math.frexp(x1)
+            x0 = math.ldexp(x0, -e)
+            rescales.append((len(chain), e))
+    shift = np.zeros(len(chain), dtype=int)
+    for i, e in rescales:
+        shift[i:] += e
+    ref = m_ref - start
+    mant_ref, e_ref = math.frexp(chain[ref])
+    if mant_ref == 0.0:
+        raise ZeroDivisionError("Miller chain lost the reference value")
+    kept = slice(m_lo - start, stop - start)
+    # the kept chain values and the ratio are normal doubles, so their
+    # product rounds as the product of the chain value's frexp mantissa
+    # would, and ldexp is exact down to 2^-1022
+    out = np.ldexp(
+        np.array(chain[kept]) * (pos[m_ref] / mant_ref), shift[kept] - (shift[ref] + e_ref)
+    )
+    out[np.abs(out) < _FLUSH] = 0.0
+    if np.isinf(out).any():
+        raise OverflowError("scaled chain value exceeds double range")
     return out
 
 

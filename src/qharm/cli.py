@@ -260,6 +260,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (FileNotFoundError, IndexError, QHarmError, ValueError) as exc:
         sys.stderr.write(f"{args.command}: {exc}\n")
         return 2
+    except ArithmeticError as exc:  # e.g. a kernel table step past the double range
+        sys.stderr.write(f"{args.command}: {type(exc).__name__}: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

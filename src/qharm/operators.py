@@ -97,7 +97,7 @@ def translation_kernel_matrix(
     """
     params = table.params
     x_rows = table.rows(np.ravel(x_exponents))
-    core = _hankel_form(table, table.weights * x_rows, exponents)
+    core = _hankel_form(table.rows(exponents), table.weights * x_rows)
     core *= params.c_qv ** 2 * (1.0 - params.q)
     return core[0] if np.ndim(x_exponents) == 0 else core
 
@@ -298,21 +298,26 @@ def qv_membership_probe(
     """Exhaustive window scan of min D_v(x,y,z).
 
     A finite-window heuristic only: a clean scan reports "no negativity
-    detected", never membership of q in the positivity set.  The x slabs
-    are built as stacks from :func:`translation_kernel_matrix`, in blocks
-    whose (block, P, N) product operand stays under _PROBE_BLOCK_BYTES;
-    the first smallest entry in (x, y, z) order wins, so the output is
-    deterministic and does not depend on the block size.
+    detected", never membership of q in the positivity set.  The window's
+    Hankel rows are gathered once; the x slabs are Hankel forms of them
+    weighted by slices of the same rows, the stacks of
+    :func:`translation_kernel_matrix` bit for bit, built in blocks whose
+    (block, P, N) product operand stays under _PROBE_BLOCK_BYTES.  The first
+    smallest entry in (x, y, z) order wins, so the output is deterministic
+    and does not depend on the block size.
     """
     integration = _probe_integration_window(params, lattice)
     table = build_transform_table(params, integration)
-    exponents = lattice.indices
+    rows = table.rows(lattice.indices)
+    weighted = table.weights * rows
+    scale = params.c_qv ** 2 * (1.0 - params.q)
     n_pts = lattice.size
     block = max(1, _PROBE_BLOCK_BYTES // (n_pts * integration.size * 8))
     min_val, best = float("inf"), (0, 0, 0)
     for start in range(0, n_pts, block):
         # D(x_i, y_j, z_l) for the block's i and all j, l at once
-        core = translation_kernel_matrix(exponents[start : start + block], exponents, table)
+        core = _hankel_form(rows, weighted[start : start + block])
+        core *= scale
         flat = int(np.argmin(core))
         if core.flat[flat] < min_val:
             i, rest = divmod(flat, n_pts * n_pts)

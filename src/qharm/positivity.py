@@ -77,7 +77,7 @@ def _spectral_gram(
         raise ValueError("gram points must be distinct")
     params = table.params
     scale = params.c_qv * (1.0 - params.q) * table.weights
-    entries = _hankel_form(table, scale * spectrum, pts)
+    entries = _hankel_form(table.rows(pts), scale * spectrum)
     return GramMatrix(point_exponents=pts, entries=entries)
 
 

@@ -189,7 +189,11 @@ class QParams:
     c_qv is the transform normalization, B_qv the L^1 -> sup-norm bound
     constant and jv_denom_floor = (q^2;q^2)_inf (q^{2v+2};q^2)_inf the floor
     of the kernel series' denominators; all three come from the four
-    infinite q-Pochhammer products of one call.
+    infinite q-Pochhammer products of one call.  Each instance also keeps
+    the recurrence heads of its kernel tables
+    (:func:`qharm.bessel.lattice_jv_table`) in a private dict outside the
+    dataclass fields, so equality, hashing, repr and the JSON rendering
+    ignore it, and equal instances do not share it.
     """
 
     q: float
@@ -213,6 +217,7 @@ class QParams:
             self, "B_qv", poch_neg_q2 * poch_neg_qv2 / poch_q2 / (1.0 - self.q)
         )
         object.__setattr__(self, "jv_denom_floor", abs(poch_q2) * abs(poch_qv2))
+        object.__setattr__(self, "_jv_heads", {})
 
     @property
     def bessel_bound_constant(self) -> float:

@@ -69,7 +69,10 @@ def build_transform_table(params: QParams, lattice: QLattice) -> TransformTable:
     """Evaluate every kernel Bessel value the window can reach.
 
     Each tabulated value is checked against the lattice decay bound (with a
-    small absolute slack covering double-precision noise in the tiny entries).
+    small absolute slack covering double-precision noise in the tiny
+    entries), and the first violation in m order raises ValueError.  The
+    bound is evaluated only for m < 0: for m >= 0 it is constant, and those
+    entries are held to its m = 0 value.
     """
     if abs(lattice.q - params.q) > 1e-15 * params.q:
         raise ValueError("params and lattice disagree on q")
@@ -77,14 +80,17 @@ def build_transform_table(params: QParams, lattice: QLattice) -> TransformTable:
         raise ValueError("transform window must straddle x=1 (n_min < 0 < n_max)")
     m_lo, m_hi = 2 * lattice.n_min, 2 * lattice.n_max
     values = lattice_jv_table(params, m_lo, m_hi)
-    ms = np.arange(m_lo, m_hi + 1)
-    envelope = bessel_bound_envelope(params, ms)
+    # the bound at m = min(m_lo, 0), ..., 0; its last entry holds for all m >= 0
+    below = bessel_bound_envelope(params, np.arange(min(m_lo, 0), 1))
+    envelope = np.full(values.size, below[-1])
+    negative = min(below.size - 1, values.size)
+    envelope[:negative] = below[:negative]
     bad = np.abs(values) > envelope + BOUND_SLACK
     if np.any(bad):
-        worst = ms[bad][0]
+        i = int(np.argmax(bad))
         raise ValueError(
-            f"tabulated j_v(q^{worst}) violates the decay bound: "
-            f"{values[bad][0]} vs {envelope[bad][0]}"
+            f"tabulated j_v(q^{m_lo + i}) violates the decay bound: "
+            f"{values[i]} vs {envelope[i]}"
         )
     return TransformTable(params=params, lattice=lattice, bessel_values=values)
 
@@ -112,16 +118,14 @@ def _transform_rows(values: np.ndarray, table: TransformTable) -> np.ndarray:
     return (table.kernel_matrix @ values.T).T
 
 
-def _hankel_form(table: TransformTable, s: np.ndarray, exponents, others=None) -> np.ndarray:
-    """H[..., i, j] = sum_k rows[i, k] s[..., k] cols[j, k] for the Hankel
-    rows of `exponents` and the columns of `others` (the same rows when
-    None, the symmetric (P, P) form; else the (P, Q) block of it on the two
-    sets): a (..., N) stack of s gives the (..., P, Q) stack from one
+def _hankel_form(rows: np.ndarray, s: np.ndarray, cols=None) -> np.ndarray:
+    """H[..., i, j] = sum_k rows[i, k] s[..., k] cols[j, k] for Hankel rows
+    gathered by :meth:`TransformTable.rows` (cols None: the same rows, the
+    symmetric (P, P) form; else the (P, Q) block of it on the two sets of
+    exponents): a (..., N) stack of s gives the (..., P, Q) stack from one
     stacked product, which runs one matrix product per slab, so each slab
     equals the form of its s alone bit for bit."""
-    rows = table.rows(exponents)
-    cols = rows if others is None else table.rows(others)
-    return (rows * s[..., None, :]) @ cols.T
+    return (rows * s[..., None, :]) @ (rows if cols is None else cols).T
 
 
 def _at_zero(weighted: np.ndarray, table: TransformTable) -> np.ndarray:

@@ -97,7 +97,9 @@ def _prop4_kernel_route(draws: np.ndarray, xs, table: TransformTable) -> np.ndar
     params = table.params
     indices = table.lattice.indices
     zs = np.flatnonzero(np.any(draws != 0, axis=0))
-    core = _hankel_form(table, table.weights * table.rows(xs), indices[zs], indices)
+    core = _hankel_form(
+        table.rows(indices[zs]), table.weights * table.rows(xs), table.rows(indices)
+    )
     core *= params.c_qv ** 2 * (1.0 - params.q)
     weighted = table.weights * draws * (1.0 - params.q)
     return weighted[:, zs] @ core

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qharm.bessel
 import qharm.qlattice
 from qharm import (
     PrecisionLossError,
@@ -253,6 +255,32 @@ class TestSeriesArrayPath:
         assert calls == []
         QParams(0.9, 1.5)
         assert len(calls) == 1
+
+    def test_recurrence_head_kept_per_params_instance(self, monkeypatch):
+        # a transform table and the probe's table from one QParams, as in a
+        # q-scan pair: the second reuses the first one's series seeds and runs
+        params = QParams(0.9, 1.5)
+        fresh = [lattice_jv_table(QParams(0.9, 1.5), lo, hi) for lo, hi in ((-60, 320), (-10, 400))]
+        seen = (repr(params), hash(params), [f.name for f in dataclasses.fields(params)])
+        calls = []
+        inner = qharm.bessel._jv_series
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(qharm.bessel, "_jv_series", counting)
+        first = lattice_jv_table(params, -60, 320)
+        second = lattice_jv_table(params, -10, 400)
+        assert len(calls) == 2
+        assert first.tobytes() == fresh[0].tobytes() and second.tobytes() == fresh[1].tobytes()
+        # an equal instance keeps its own heads
+        other = QParams(0.9, 1.5)
+        assert other == params
+        lattice_jv_table(other, -60, 320)
+        assert len(calls) == 4
+        assert (repr(params), hash(params), [f.name for f in dataclasses.fields(params)]) == seen
+        assert params == QParams(0.9, 1.5) and hash(params) == hash(QParams(0.9, 1.5))
 
     def test_miller_chain_bytes_pinned(self):
         digest = hashlib.sha256()

@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qharm
 from qharm import (
     CSVFormatError,
     LatticeFunction,
@@ -230,6 +234,28 @@ class TestCLITransform:
         a = load_lattice_function(o1, 0.5)
         b = load_lattice_function(o2, 0.5)
         assert np.abs(a.values - b.values).max() < 1e-8
+
+
+class TestCLIArithmeticRefusals:
+    # at q = 0.1 the Miller chain below m = -2 * 80 needs q^{2m+2} past the
+    # double range, which raises OverflowError in the kernel table
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--q", "0.1", "--nmin", "-80", "--nmax", "20", "--only", "Prop1"],
+            ["probe-qv", "--q", "0.1", "--nmin", "-80", "--nmax", "5"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_overflow_exits_2_without_traceback(self, argv):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qharm.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-m", "qharm.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith(f"{argv[0]}: ") and done.stderr.count("\n") == 1
 
 
 class TestCLIJudgements:

@@ -326,8 +326,8 @@ def test_asymmetric_hankel_form_is_a_block_of_the_symmetric_one(regime, rng):
     a, b = np.array([-3, 0, 4]), np.array([-5, 1, 2, 9, 11])
     both = np.concatenate([a, b])
     for s in (rng.standard_normal(table.lattice.size), rng.random((4, table.lattice.size))):
-        symmetric = _hankel_form(table, s, both)
-        _close(_hankel_form(table, s, a, b), symmetric[..., : a.size, a.size :])
+        symmetric = _hankel_form(table.rows(both), s)
+        _close(_hankel_form(table.rows(a), s, table.rows(b)), symmetric[..., : a.size, a.size :])
 
 
 def _full_support(lat, rng, count):
