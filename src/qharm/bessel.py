@@ -98,8 +98,9 @@ def _recurrence_head(params: QParams, seed: int, last: int) -> list:
     recurrence run downward to m = 0 and, for v < 0, upward to `last`.
 
     The head is kept on `params` under (seed, last), and its readers must
-    not change it.  There are at most m_two + 2 keys with seed >= m_safe,
-    and for v >= 0 every table reaching m_two + 2 has the same one.
+    not change it.  One params holds at most m_two + 2 heads, one per table
+    top below m_two + 2, and for v >= 0 every table reaching m_two + 1
+    shares one.
     """
     heads = params._jv_heads
     pos = heads.get((seed, last))
@@ -171,9 +172,10 @@ def _miller_values(params: QParams, pos: list, m_lo: int, stop: int) -> np.ndarr
     if mant_ref == 0.0:
         raise ZeroDivisionError("Miller chain lost the reference value")
     kept = slice(m_lo - start, stop - start)
-    # the kept chain values and the ratio are normal doubles, so their
-    # product rounds as the product of the chain value's frexp mantissa
-    # would, and ldexp is exact down to 2^-1022
+    # the chain stays far inside the double range (its kept values times the
+    # ratio lay between 2^-56 and 2^1020 over q = 0.02..0.995), so the
+    # product is a normal double rounded as the product with the chain
+    # value's frexp mantissa would be, and ldexp is exact down to 2^-1022
     out = np.ldexp(
         np.array(chain[kept]) * (pos[m_ref] / mant_ref), shift[kept] - (shift[ref] + e_ref)
     )
