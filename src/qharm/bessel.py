@@ -129,14 +129,10 @@ def _recurrence_head(params: QParams, seed: int, last: int) -> list:
 
 
 def _miller_values(params: QParams, pos: list, m_lo: int, stop: int) -> np.ndarray:
-    """j at m = m_lo, ..., stop - 1 (stop <= 0) by the scaled Miller chain,
-    normalized against the recurrence head `pos` at one m in 0..3.
-
-    The chain starts _SEED_MARGIN steps below m_lo and carries plain floats
-    at one power-of-two scale, rescaled exactly when they near the top of
-    the double range.  A value below 2^-1021 is flushed to zero; one past
-    the double range raises OverflowError.
-    """
+    """j at m = m_lo, ..., stop - 1 (stop <= 0) from the scaled Miller chain,
+    normalized against the recurrence head `pos` at one m in 0..3.  A value
+    below 2^-1021 is flushed to zero; one past the double range raises
+    OverflowError."""
     q, v = params.q, params.v
     p2v = q ** (2.0 * v)
     start = m_lo - _SEED_MARGIN
