@@ -8,6 +8,7 @@ with the violating coefficient vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -161,22 +162,32 @@ class GridSweepReport(NamedTuple):
         return all(v.positive for v in self.verdicts)
 
 
+@lru_cache(maxsize=None)  # a drawable pool lies in [-4, 14]: few keys
+def _sampled_grids(lo: int, hi: int) -> Tuple[Tuple[int, ...], ...]:
+    """The 4 sorted grids of :func:`_grid_sweep` drawn with seed 0 from the
+    exponent pool [lo, hi]; they depend on the pool alone."""
+    rng = np.random.default_rng(0)
+    pool = np.arange(lo, hi + 1)
+    grids = []
+    for _ in range(4):
+        size = int(rng.integers(3, min(9, pool.size)))
+        grids.append(tuple(sorted(int(n) for n in rng.choice(pool, size=size, replace=False))))
+    return tuple(grids)
+
+
 def _grid_sweep(
     spectrum: np.ndarray, table: TransformTable, tol: float
 ) -> Union[GridSweepReport, List[GridSweepReport]]:
-    """PSD verdicts on the default grid plus 4 grids drawn with seed 0, from
-    the spectrum F fn; every grid is a quadratic form in that spectrum.
+    """PSD verdicts on the default grid plus the 4 :func:`_sampled_grids` of
+    the window's pool, from the spectrum F fn; every grid is a quadratic form
+    in that spectrum.
 
     A (K, N) stack of spectra gives K reports from one stacked ``eigvalsh`` per
     grid.
     """
     lat = table.lattice
-    rng = np.random.default_rng(0)
     grids = [default_point_exponents(table)]
-    pool = np.arange(max(lat.n_min, -4), min(lat.n_max, 14) + 1)
-    for _ in range(4):
-        size = int(rng.integers(3, min(9, pool.size)))
-        grids.append(sorted(int(n) for n in rng.choice(pool, size=size, replace=False)))
+    grids += _sampled_grids(max(lat.n_min, -4), min(lat.n_max, 14))
     per_grid = [_spectral_verdict(spectrum, g, table, tol) for g in grids]
     if spectrum.ndim == 1:
         return GridSweepReport(verdicts=tuple(per_grid))

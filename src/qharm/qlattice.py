@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import LatticeMismatchError, PoleProximityError, TruncationCapError
+from .errors import PoleProximityError, TruncationCapError
 
 Complex = Union[float, complex]
 
@@ -294,12 +294,6 @@ class LatticeFunction:
 
     def at_index(self, n: int) -> Complex:
         return self.values[self.lattice.index_of(n)]
-
-    def same_window(self, other: "LatticeFunction") -> None:
-        if self.lattice != other.lattice:
-            raise LatticeMismatchError(
-                f"lattices differ: {self.lattice} vs {other.lattice}"
-            )
 
     @classmethod
     def from_callable(

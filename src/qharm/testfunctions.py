@@ -20,7 +20,7 @@ def random_compact(lattice: QLattice, rng: np.random.Generator) -> LatticeFuncti
     cleanly invertible exponent range.
     """
     vals = np.zeros(lattice.size)
-    _compact_into(vals, lattice, rng)
+    _compact_into(vals, *_compact_offsets(lattice), rng)
     return LatticeFunction(lattice, vals)
 
 
@@ -29,11 +29,18 @@ def nonneg_density(lattice: QLattice, rng: np.random.Generator) -> LatticeFuncti
     return LatticeFunction(lattice, np.abs(random_compact(lattice, rng).values))
 
 
-def _compact_into(row: np.ndarray, lattice: QLattice, rng: np.random.Generator) -> None:
-    """Write the values of one :func:`random_compact` draw into a zero row."""
+def _compact_offsets(lattice: QLattice):
+    """Array offsets of the ends of the clean inversion range, where every
+    :func:`random_compact` draw on the window keeps its support."""
     lo_n, hi_n = clean_inversion_range(lattice)
-    lo = int(rng.integers(lattice.index_of(lo_n), lattice.index_of(hi_n) - 1))
-    hi = int(rng.integers(lo + 1, lattice.index_of(hi_n) + 1))
+    return lattice.index_of(lo_n), lattice.index_of(hi_n)
+
+
+def _compact_into(row: np.ndarray, first: int, last: int, rng: np.random.Generator) -> None:
+    """Write the values of one :func:`random_compact` draw into a zero row,
+    given the :func:`_compact_offsets` of its window."""
+    lo = int(rng.integers(first, last - 1))
+    hi = int(rng.integers(lo + 1, last + 1))
     row[lo : hi + 1] = rng.uniform(-1.0, 1.0, hi - lo + 1)
 
 
@@ -49,10 +56,11 @@ def draw_stacks(lattice: QLattice, rng: np.random.Generator, count: int, *kinds:
     unknown = set(kinds) - {"compact", "nonneg"}
     if unknown:
         raise ValueError(f"unknown draw kinds {sorted(unknown)}")
+    first, last = _compact_offsets(lattice)
     stacks = np.zeros((len(kinds), count, lattice.size))
     for j in range(count):
         for k in range(len(kinds)):
-            _compact_into(stacks[k, j], lattice, rng)
+            _compact_into(stacks[k, j], first, last, rng)
     for k, kind in enumerate(kinds):
         if kind == "nonneg":
             np.abs(stacks[k], out=stacks[k])

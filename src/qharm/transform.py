@@ -37,7 +37,9 @@ class TransformTable:
         """Hankel gather: rows(ns)[r, k] = j_v(q^{ns[r] + n_min + k}, q^2).
 
         The one way to read rows of the kernel table: every exponent must be
-        an integer (else TypeError) in the window (else IndexError).
+        an integer (else TypeError) in the window (else IndexError).  The
+        rows are copies taken from :attr:`_hankel_view`, so writing into
+        them leaves the table as it was.
         """
         exps = np.asarray(exponents)
         if exps.size and exps.dtype.kind not in "iu":
@@ -47,7 +49,17 @@ class TransformTable:
         if offsets.size and (offsets.min() < 0 or offsets.max() >= lat.size):
             first = exps[(offsets < 0) | (offsets >= lat.size)][0]
             raise IndexError(f"row exponent {first} outside the window [{lat.n_min}, {lat.n_max}]")
-        return self.bessel_values[offsets[:, None] + np.arange(lat.size)]
+        return self._hankel_view[offsets]
+
+    @cached_property
+    def _hankel_view(self) -> np.ndarray:
+        """Read-only (N, N) view whose row r is bessel_values[r : r + N]:
+        both strides are one item, so it shares the table's buffer."""
+        values = np.ascontiguousarray(self.bessel_values)
+        n, step = self.lattice.size, values.itemsize
+        view = np.ndarray((n, n), values.dtype, buffer=values, strides=(step, step))
+        view.flags.writeable = False
+        return view
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -61,8 +73,9 @@ class TransformTable:
     def kernel_matrix(self) -> np.ndarray:
         """Dense transform matrix M[k,n] = c (1-q) q^{n(2v+2)} j_v(q^{k+n})."""
         hankel = self.rows(self.lattice.indices)
-        scale = self.params.c_qv * (1.0 - self.params.q)
-        return scale * hankel * self.weights[None, :]
+        hankel *= self.params.c_qv * (1.0 - self.params.q)
+        hankel *= self.weights
+        return hankel
 
 
 def build_transform_table(params: QParams, lattice: QLattice) -> TransformTable:

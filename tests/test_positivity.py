@@ -10,6 +10,7 @@ from qharm import (
     QParams,
     bochner_cutoff,
     bochner_reconstruct,
+    build_transform_table,
     convolution,
     fourier_transform,
     gram_matrix,
@@ -30,6 +31,7 @@ from qharm.positivity import (
     DEFAULT_PSD_TOL,
     BochnerLevel,
     BochnerReport,
+    _grid_sweep,
     default_point_exponents,
 )
 from qharm.errors import LatticeMismatchError
@@ -405,6 +407,25 @@ class TestSpectralRoute:
         count_transforms.clear()
         product_positive_type_check(phi, f, table05)
         assert len(count_transforms) == 2
+
+    @pytest.mark.parametrize(
+        "window", [(0.5, 0.0, -20, 60), (0.9, 1.5, -30, 160)], ids=["q0.5", "q0.9"]
+    )
+    def test_sampled_grids_pinned(self, window):
+        # both README windows clip to the pool [-4, 14]; a second table on
+        # the same window reuses the grids drawn for the first
+        q, v, n_min, n_max = window
+        pinned = [
+            [-4, -3, -1, 0, 2, 3, 13, 14], [0, 3, 4, 8, 10, 13], [-4, -3, -2, 5, 6, 7, 10], [-4, -2, 8]
+        ]
+        qharm.positivity._sampled_grids.cache_clear()
+        second = build_transform_table(QParams(q, v), QLattice(q, n_min, n_max))
+        for table in (get_table(*window), second):
+            rep = _grid_sweep(np.ones(table.lattice.size), table, DEFAULT_PSD_TOL)
+            used = [list(verdict.point_exponents) for verdict in rep.verdicts]
+            assert used == [default_point_exponents(table)] + pinned
+            assert used == _sweep_grids(table)
+        assert qharm.positivity._sampled_grids.cache_info().misses == 1
 
     def test_sweeps_match_single_grid_verdicts(self, regime_table, rng):
         lat = regime_table.lattice

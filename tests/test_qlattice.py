@@ -20,7 +20,6 @@ from qharm import (
     q_pochhammer_finite,
     q_pochhammer_infinite,
 )
-from qharm.errors import LatticeMismatchError
 from qharm.qlattice import (
     _lattice_q_gaussian,
     jackson_integral_detail,
@@ -299,12 +298,6 @@ class TestLatticeFunction:
         lat = QLattice(0.5, -1, 2)
         f = LatticeFunction.from_callable(lat, lambda x: x * x)
         np.testing.assert_allclose(f.values, lat.points ** 2)
-
-    def test_same_window_mismatch(self):
-        f = LatticeFunction.zero(QLattice(0.5, 0, 3))
-        g = LatticeFunction.zero(QLattice(0.5, 0, 4))
-        with pytest.raises(LatticeMismatchError):
-            f.same_window(g)
 
     def test_is_real(self):
         lat = QLattice(0.5, 0, 1)

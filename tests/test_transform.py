@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -38,14 +40,23 @@ class TestTableConstruction:
         assert row[0] == table05.bessel_values[-lat.n_min]
 
     def test_rows_gathers_jv_rows(self, table05):
-        ns = [-3, 0, 7]
-        lat = table05.lattice
+        # its own copy of the values, so a gather that wrote through could
+        # not spoil the shared table
+        table = replace(table05, bessel_values=table05.bessel_values.copy())
+        lat = table.lattice
+        ns = [lat.n_min, -3, 0, 7, lat.n_max]
         expect = np.stack(
-            [table05.bessel_values[n - lat.n_min : n - lat.n_min + lat.size] for n in ns]
+            [table.bessel_values[n - lat.n_min : n - lat.n_min + lat.size] for n in ns]
         )
-        np.testing.assert_array_equal(table05.rows(ns), expect)
+        values = table.bessel_values.tobytes()
+        got = table.rows(ns)
+        np.testing.assert_array_equal(got, expect)
+        got[:] = -1.0
+        assert table.bessel_values.tobytes() == values
+        np.testing.assert_array_equal(table.rows(ns), expect)
+        assert not table._hankel_view.flags.writeable
         with pytest.raises(IndexError):
-            table05.rows([table05.lattice.n_max + 1])
+            table.rows([lat.n_max + 1])
 
     @pytest.mark.parametrize("n", [-120, -21, 61, 200])  # the window is [-20, 60]
     def test_rows_refuse_out_of_window(self, table05, n):

@@ -270,13 +270,14 @@ def test_stacked_error_matches_per_draw(regime, sid):
     assert abs(entry.measured_error - _REFERENCES[sid](table)) <= 1e-3 * tolerance
 
 
+@pytest.mark.parametrize("count", [6, 20])  # 20: the count of Thm1 and Prop3
 @pytest.mark.parametrize(
     "kinds", [("compact",), ("nonneg",), ("nonneg", "compact"), ("nonneg", "nonneg")]
 )
-def test_stacked_draws_equal_per_draw_generators(regime, kinds):
+def test_stacked_draws_equal_per_draw_generators(regime, kinds, count):
     lat = regime[0].lattice
-    stacks = draw_stacks(lat, np.random.default_rng(_SEED), 6, *kinds)
-    for j, draws in enumerate(_per_draw(lat, _SEED, 6, *kinds)):
+    stacks = draw_stacks(lat, np.random.default_rng(_SEED), count, *kinds)
+    for j, draws in enumerate(_per_draw(lat, _SEED, count, *kinds)):
         for stack, f in zip(stacks, draws):
             assert stack[j].tobytes() == f.values.tobytes()
 
@@ -438,3 +439,14 @@ def test_suite_imports_numpy_random_before_first_check():
         env=env, capture_output=True, text=True, check=True,
     ).stdout.split()
     assert out == ["False", "True"]  # not at import qharm; before the check
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # every qharm process pays numpy.random's import (about 13 ms) if any
+    # module imports it, or draws, at import time; the CLI imports them all
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qharm.__file__)))
+    probe = "import sys, qharm, qharm.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert out == ["False"]
