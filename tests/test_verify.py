@@ -270,16 +270,26 @@ def test_stacked_error_matches_per_draw(regime, sid):
     assert abs(entry.measured_error - _REFERENCES[sid](table)) <= 1e-3 * tolerance
 
 
-@pytest.mark.parametrize("count", [6, 20])  # 20: the count of Thm1 and Prop3
-@pytest.mark.parametrize(
-    "kinds", [("compact",), ("nonneg",), ("nonneg", "compact"), ("nonneg", "nonneg")]
-)
-def test_stacked_draws_equal_per_draw_generators(regime, kinds, count):
+_DRAW_KINDS = [("compact",), ("nonneg",), ("nonneg", "compact"), ("nonneg", "nonneg")]
+
+
+def _assert_stacked_draws_equal_per_draw(regime, kinds, count):
     lat = regime[0].lattice
     stacks = draw_stacks(lat, np.random.default_rng(_SEED), count, *kinds)
     for j, draws in enumerate(_per_draw(lat, _SEED, count, *kinds)):
         for stack, f in zip(stacks, draws):
             assert stack[j].tobytes() == f.values.tobytes()
+
+
+@pytest.mark.parametrize("kinds", _DRAW_KINDS)
+def test_stacked_draws_equal_per_draw_generators(regime, kinds):
+    _assert_stacked_draws_equal_per_draw(regime, kinds, 6)
+
+
+@pytest.mark.parametrize("kinds", _DRAW_KINDS)
+def test_stacked_draws_equal_per_draw_generators_at_twenty(regime, kinds):
+    # 20: the draw count of Thm1 and Prop3
+    _assert_stacked_draws_equal_per_draw(regime, kinds, 20)
 
 
 def test_stacked_intermediates_match_per_draw(regime):
